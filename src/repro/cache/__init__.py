@@ -10,9 +10,9 @@ recomputation of precisely the affected experiments — nothing more.
 
 Entry points:
 
-* :func:`cached_map` — drop-in for ``Executor.map`` in the sweep loops;
-* ``RobustTrialRunner``/``TrialRunner`` consult an attached cache before
-  dispatching (``executor.cache``, mirroring ``executor.runlog``);
+* :class:`TrialKeyer` — per-sweep keys plus validated lookup and store,
+  which :mod:`repro.core.pipeline` drives for every runner and sweep (an
+  attached ``executor.cache`` is picked up, mirroring ``executor.runlog``);
 * ``python -m repro <figure> --cache DIR`` / ``REPRO_CACHE`` wire it up
   from the CLI; ``python -m repro cache stats|gc|clear`` maintains it.
 """
@@ -33,12 +33,13 @@ from repro.cache.store import (
     CACHE_MARKER,
     CACHE_VERSION,
     CacheStats,
+    Codec,
     ENTRY_SUFFIX,
     KIND_PICKLE,
     KIND_RECORD,
+    MISS,
     TrialCache,
     TrialKeyer,
-    cached_map,
     decode_result,
     encode_result,
     resolve_cache,
@@ -48,14 +49,15 @@ __all__ = [
     "CACHE_MARKER",
     "CACHE_VERSION",
     "CacheStats",
+    "Codec",
     "ENTRY_SUFFIX",
     "KEY_VERSION",
     "KIND_PICKLE",
     "KIND_RECORD",
+    "MISS",
     "TrialCache",
     "TrialKeyer",
     "Uncacheable",
-    "cached_map",
     "canonical_json",
     "canonicalize",
     "clear_caches",

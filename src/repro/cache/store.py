@@ -23,10 +23,12 @@ from a worker), and every write is an atomic tmp-then-replace so a
 killed run never leaves a torn entry.  simlint rule CSH801 flags
 ``*.cache.json`` writes outside this package.
 
-:func:`cached_map` is the drop-in for ``executor.map`` used by the sweep
-loops: consult the cache per item, dispatch only the misses, store what
-came back, and report ``cache_hit``/``cache_miss``/``cache_store`` host
-events through the runlog.
+:class:`TrialKeyer` is the only reader and writer the runners use: its
+:meth:`~TrialKeyer.lookup` validates a hit through the sweep's
+:class:`Codec` and demotes anything it cannot vouch for to a miss, and
+:meth:`~TrialKeyer.store` encodes and writes a computed result.  This
+module is therefore the only code that writes :class:`CacheStats`.
+:mod:`repro.core.pipeline` drives both for every runner and sweep.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.cache.fingerprint import code_fingerprint
 from repro.cache.keys import Uncacheable, canonicalize, trial_key
-from repro.obs.runlog import AnyRunLog, NULL_RUNLOG, runlog_of
-from repro.parallel import Executor, ParallelExecutionError, QuarantinedTask
 
 #: Entry schema version; a mismatch reads as a miss, never an error.
 CACHE_VERSION = 1
@@ -57,6 +57,10 @@ ENTRY_SUFFIX = ".cache.json"
 
 KIND_RECORD = "record"
 KIND_PICKLE = "pickle"
+
+#: What :meth:`TrialKeyer.lookup` returns when nothing trustworthy is
+#: stored (a stored ``None`` is a legitimate result, so not ``None``).
+MISS = object()
 
 
 @dataclass
@@ -229,6 +233,26 @@ def decode_result(text: str) -> Any:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
+@dataclass(frozen=True)
+class Codec:
+    """How one sweep's results become cache payloads and back.
+
+    ``encode`` returns the payload, or ``None`` for a result that must
+    not be stored (a failed trial re-runs deterministically anyway).
+    ``decode`` rebuilds the result stored for trial index ``trial`` and
+    raises on anything it cannot vouch for.
+    """
+
+    kind: str
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any, int], Any]
+
+
+#: Plain ``Executor.map`` sweeps: any result, base64-pickled.
+PICKLE_CODEC = Codec(KIND_PICKLE, encode_result,
+                     lambda payload, trial: decode_result(payload))
+
+
 @dataclass
 class TrialKeyer:
     """Per-sweep binding of (cache, experiment, canonical params, code).
@@ -242,17 +266,20 @@ class TrialKeyer:
     experiment: str
     params: Any
     fingerprint: str
+    codec: Codec = PICKLE_CODEC
 
     @classmethod
     def create(cls, cache: Optional[TrialCache], task: Any, *,
                experiment: str, extra: Any = None,
-               code_extra: Tuple[Any, ...] = ()) -> Optional["TrialKeyer"]:
+               code_extra: Tuple[Any, ...] = (),
+               codec: Codec = PICKLE_CODEC) -> Optional["TrialKeyer"]:
         """A keyer for this sweep, or ``None`` when caching cannot apply.
 
         ``extra`` carries sweep-level parameters that live outside the
         task object (a robust runner's retry/budget policy);
         ``code_extra`` names additional objects (e.g. the runner class)
-        whose modules join the fingerprint without entering the key.
+        whose modules join the fingerprint without entering the key;
+        ``codec`` picks the payload format (it never enters the key).
         Any :class:`Uncacheable` piece disables caching for the whole
         sweep — counted, never raised.
         """
@@ -267,7 +294,7 @@ class TrialKeyer:
             cache.stats.uncacheable += 1
             return None
         return cls(cache=cache, experiment=experiment, params=params,
-                   fingerprint=fingerprint)
+                   fingerprint=fingerprint, codec=codec)
 
     def key(self, trial: int, item: Any) -> Optional[str]:
         try:
@@ -276,6 +303,43 @@ class TrialKeyer:
         except Uncacheable:
             self.cache.stats.uncacheable += 1
             return None
+
+    def lookup(self, key: str, trial: int) -> Any:
+        """The result stored under ``key`` for ``trial``, or :data:`MISS`.
+
+        An entry of another payload kind, or one the codec cannot decode
+        or rejects, is demoted: the hit :meth:`TrialCache.get` booked
+        becomes a miss, and the trial is recomputed.
+        """
+        entry = self.cache.get(key)
+        if entry is None:
+            return MISS
+        try:
+            if entry.get("kind") == self.codec.kind:
+                return self.codec.decode(entry["payload"], trial)
+        except Exception:
+            pass
+        self.cache.stats.hits -= 1
+        self.cache.stats.misses += 1
+        return MISS
+
+    def store(self, key: str, trial: int, result: Any) -> bool:
+        """Store one computed result; ``False`` when nothing was written.
+
+        A result the codec declines is skipped; one it cannot encode is
+        counted uncacheable, never raised.
+        """
+        try:
+            payload = self.codec.encode(result)
+        except Exception:
+            self.cache.stats.uncacheable += 1
+            return False
+        if payload is None:
+            return False
+        self.cache.put(key, experiment=self.experiment, trial=trial,
+                       kind=self.codec.kind, payload=payload,
+                       fingerprint=self.fingerprint)
+        return True
 
 
 def resolve_cache(*candidates: Any) -> Optional[TrialCache]:
@@ -297,100 +361,17 @@ def resolve_cache(*candidates: Any) -> Optional[TrialCache]:
     return None
 
 
-def cached_map(
-    executor: Executor,
-    task: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    experiment: str,
-    cache: Optional[TrialCache] = None,
-    runlog: Optional[AnyRunLog] = None,
-    on_result: Optional[Callable[[int, Any, bool], None]] = None,
-) -> list:
-    """``executor.map`` with content-addressed short-circuiting.
-
-    Results come back in item order whatever the completion order, same
-    as ``map``.  With no cache resolvable this *is* ``map`` (plus the
-    optional ``on_result`` callback, called as ``(index, result,
-    was_cached)`` in completion order).  Quarantined placeholders are
-    returned but never stored — a host fault says nothing about the
-    trial's true result.
-    """
-    work = list(items)
-    cache = resolve_cache(cache, executor)
-    if runlog is None:
-        runlog = runlog_of(executor)
-    keyer = TrialKeyer.create(cache, task, experiment=experiment)
-    results: list = [None] * len(work)
-    seen = [False] * len(work)
-    pending: List[Tuple[int, Any, Optional[str]]] = []
-    for index, item in enumerate(work):
-        entry = None
-        key = keyer.key(index, item) if keyer is not None else None
-        if key is not None:
-            entry = cache.get(key)  # type: ignore[union-attr]
-        if entry is not None and entry.get("kind") == KIND_PICKLE:
-            try:
-                value = decode_result(entry["payload"])
-            except Exception:
-                # A torn or stale payload must degrade to a recompute;
-                # re-book the optimistic hit as a miss.
-                assert cache is not None
-                cache.stats.hits -= 1
-                cache.stats.misses += 1
-                runlog.emit("cache_miss", experiment=experiment,
-                            index=index, key=key)
-                pending.append((index, item, key))
-                continue
-            results[index] = value
-            seen[index] = True
-            runlog.emit("cache_hit", experiment=experiment, index=index,
-                        key=key)
-            if on_result is not None:
-                on_result(index, value, True)
-            continue
-        if key is not None:
-            runlog.emit("cache_miss", experiment=experiment, index=index,
-                        key=key)
-        pending.append((index, item, key))
-    if pending:
-        for sub_index, result in executor.run_tasks(
-                task, [item for _, item, _ in pending]):
-            index, _, key = pending[sub_index]
-            results[index] = result
-            seen[index] = True
-            if (key is not None and cache is not None
-                    and not isinstance(result, QuarantinedTask)):
-                try:
-                    payload = encode_result(result)
-                except Exception:
-                    cache.stats.uncacheable += 1
-                else:
-                    cache.put(key, experiment=experiment, trial=index,
-                              kind=KIND_PICKLE, payload=payload,
-                              fingerprint=keyer.fingerprint  # type: ignore[union-attr]
-                              )
-                    runlog.emit("cache_store", experiment=experiment,
-                                index=index, key=key)
-            if on_result is not None:
-                on_result(index, result, False)
-    if not all(seen):
-        missing = [i for i, ok in enumerate(seen) if not ok]
-        raise ParallelExecutionError(
-            f"executor dropped task indices {missing}")
-    return results
-
-
 __all__ = [
     "CACHE_MARKER",
     "CACHE_VERSION",
     "CacheStats",
+    "Codec",
     "ENTRY_SUFFIX",
     "KIND_PICKLE",
     "KIND_RECORD",
+    "MISS",
     "TrialCache",
     "TrialKeyer",
-    "cached_map",
     "decode_result",
     "encode_result",
     "resolve_cache",

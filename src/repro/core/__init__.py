@@ -11,7 +11,8 @@ Everything below maps one-to-one onto the paper's evaluation:
 
 :mod:`repro.core.experiments` provides the trial runners (seeded repeats →
 mean/std, the paper's 20-repetition methodology; `RobustTrialRunner` adds
-budgets, retries, and journal/resume for fault-injected studies) and
+budgets, retries, and journal/resume for fault-injected studies),
+:mod:`repro.core.pipeline` the one dispatch loop they all fold over, and
 :mod:`repro.core.background` the background-load jitter that gives
 low-end devices their larger error bars.
 """
@@ -22,10 +23,8 @@ from repro.core.experiments import (
     TrialError,
     TrialRecord,
     TrialRunner,
-    TrialTimeout,
     derive_retry_seed,
     derive_seed,
-    trial_summary,
 )
 from repro.core.background import BackgroundLoad
 
@@ -36,8 +35,6 @@ __all__ = [
     "TrialError",
     "TrialRecord",
     "TrialRunner",
-    "TrialTimeout",
     "derive_retry_seed",
     "derive_seed",
-    "trial_summary",
 ]

@@ -13,21 +13,22 @@ reseed, journals completed trials to JSON for ``--resume``, and reports
 failure counts through :class:`~repro.analysis.stats.Summary` so figures
 render from the trials that succeeded.
 
-Both runners dispatch trials through a :class:`repro.parallel.Executor`
-(serial by default, a fault-tolerant
-:class:`~repro.parallel.SupervisedExecutor` for ``--jobs N``).  Because
-every trial is a pure function of ``(experiment, trial)``, fan-out is
-invisible in the output: records are keyed by trial index and merged in
-trial order, workers return :class:`TrialRecord` values, and only the
-parent process touches the journal file — so summaries, journals, and
-figure rows are byte-identical for any worker count.
+Both runners are folds over :func:`repro.core.pipeline.dispatch`, which
+runs trials through a :class:`repro.parallel.Executor` (serial by
+default, a fault-tolerant :class:`~repro.parallel.SupervisedExecutor`
+for ``--jobs N``), replays cached trials, and yields results in trial
+order.  Because every trial is a pure function of ``(experiment,
+trial)``, fan-out is invisible in the output: workers return
+:class:`TrialRecord` values and only the parent process touches the
+journal file — so summaries, journals, and figure rows are
+byte-identical for any worker count.
 
-Error taxonomy:
-
-* :class:`TrialError` — base; one trial failed after all attempts.
-* :class:`TrialTimeout` — a step/wall budget was exhausted.
-* :class:`repro.sim.SimDeadlock` — the kernel detected a drained event
-  list with live processes (classified as ``"deadlock"`` in records).
+Error taxonomy: a robust run records every failure as a status
+(``crash`` / ``timeout`` / ``deadlock`` / ``error``, from
+:mod:`repro.core.pipeline` — e.g. a :class:`repro.sim.SimDeadlock` is
+``"deadlock"``) and never raises for one.  :class:`TrialError` is raised
+only where no record can stand in: a plain :class:`TrialRunner` trial
+the supervisor quarantined, or an unusable journal.
 
 Seed-collision note: ``derive_seed`` hashes ``f"{experiment}:{trial}"``
 with CRC-32, keeping seeds 31-bit and stable.  CRC-32 over short distinct
@@ -48,28 +49,25 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import KIND_RECORD, TrialCache, TrialKeyer, cached_map, resolve_cache
+from repro.cache import KIND_RECORD, Codec, TrialCache, TrialKeyer, resolve_cache
+from repro.core.pipeline import (
+    TRIAL_CRASH,
+    TRIAL_DEADLOCK,
+    TRIAL_ERROR,
+    TRIAL_OK,
+    TRIAL_TIMEOUT,
+    Failure,
+    classify,
+    dispatch,
+    resolve_runlog,
+)
 from repro.obs import MetricsRegistry, merge_snapshots
-from repro.obs.runlog import (
-    AnyRunLog,
-    NULL_RUNLOG,
-    RUNLOG_VERSION,
-    RunLog,
-    snapshot_digest,
-)
-from repro.parallel import (
-    Executor,
-    ParallelExecutionError,
-    QuarantinedTask,
-    SerialExecutor,
-    SupervisionReport,
-    TASK_HANG,
-    WORKER_CRASH,
-)
-from repro.sim import Interrupt, SimDeadlock, StepBudgetExceeded
+from repro.obs.runlog import RUNLOG_VERSION, RunLog, snapshot_digest
+from repro.parallel import Executor, SerialExecutor, SupervisionReport
+from repro.sim import StepBudgetExceeded
 
 T = TypeVar("T")
 
@@ -94,19 +92,13 @@ def derive_retry_seed(experiment: str, trial: int, attempt: int) -> int:
 class TrialError(Exception):
     """One trial failed after exhausting its attempts."""
 
-    def __init__(self, experiment: str, trial: int, seed: int, message: str,
-                 cause: Optional[BaseException] = None):
+    def __init__(self, experiment: str, trial: int, seed: int, message: str):
         super().__init__(
             f"trial {trial} of {experiment!r} (seed {seed}) failed: {message}"
         )
         self.experiment = experiment
         self.trial = trial
         self.seed = seed
-        self.cause = cause
-
-
-class TrialTimeout(TrialError):
-    """A trial exhausted its step or wall-clock budget."""
 
 
 class TrialRunner:
@@ -130,34 +122,29 @@ class TrialRunner:
         self.cache = cache
 
     def run(self, trial_fn: Callable[[int], T]) -> list[T]:
-        """Execute all trials; returns their results in trial order."""
+        """Execute all trials; returns their results in trial order.
+
+        A trial that raises propagates its exception (serial), and one
+        the supervisor quarantined raises :class:`TrialError` (pooled).
+        """
         seeds = [derive_seed(self.experiment, index)
                  for index in range(self.trials)]
-        runlog = _resolve_runlog(self)
-        cache = resolve_cache(self.cache, self.executor)
-        if not runlog.enabled:
-            # cached_map keeps Executor.map's contract (item-order
-            # results, ParallelExecutionError on dropped indices).
-            return cached_map(self.executor, trial_fn, seeds,
-                              experiment=self.experiment, cache=cache,
-                              runlog=runlog)
-        # Same merge as Executor.map, with one runlog line per finished
-        # trial so `--progress` has a live done/total signal.  Cache hits
-        # emit the same deterministic line an executed trial would.
+        runlog = resolve_runlog(self.runlog, self.executor)
+        keyer = TrialKeyer.create(resolve_cache(self.cache, self.executor),
+                                  trial_fn, experiment=self.experiment)
         runlog.emit("run_start", experiment=self.experiment,
                     trials=self.trials, pending=self.trials, resumed=0,
                     runlog_version=RUNLOG_VERSION,
                     config={"jobs": getattr(self.executor, "jobs", 1)})
-
-        def note(index: int, result: Any, was_cached: bool) -> None:
+        results: list[T] = []
+        for index, result, _ in dispatch(self.executor, trial_fn, seeds,
+                                         keyer=keyer, runlog=runlog):
+            if isinstance(result, Failure):
+                raise TrialError(self.experiment, index, seeds[index],
+                                 result.error)
+            # One line per trial gives `--progress` a live done/total.
             runlog.emit("trial_complete", trial=index, status=TRIAL_OK)
-
-        try:
-            results = cached_map(self.executor, trial_fn, seeds,
-                                 experiment=self.experiment, cache=cache,
-                                 runlog=runlog, on_result=note)
-        except ParallelExecutionError as error:
-            raise TrialError(self.experiment, -1, 0, str(error)) from error
+            results.append(result)
         runlog.emit("run_end", completed=self.trials, failures=0,
                     quarantined=0)
         return results
@@ -167,28 +154,7 @@ class TrialRunner:
         return summarize(self.run(trial_fn))
 
 
-def _resolve_runlog(runner: Any) -> AnyRunLog:
-    """The runner's runlog, else one attached to its executor, else null.
-
-    The CLI attaches a :class:`~repro.obs.runlog.RunLog` to the executor
-    (one shared stream for a whole multi-sweep command), so every study
-    gets run-level logging without threading a parameter through each
-    study config.
-    """
-    if runner.runlog is not None:
-        return runner.runlog
-    attached = getattr(runner.executor, "runlog", None)
-    return NULL_RUNLOG if attached is None else attached
-
-
 # -- robust execution ---------------------------------------------------------
-
-#: Record statuses a trial can end in.
-TRIAL_OK = "ok"
-TRIAL_CRASH = "crash"
-TRIAL_TIMEOUT = "timeout"
-TRIAL_DEADLOCK = "deadlock"
-TRIAL_ERROR = "error"
 
 #: Journal schema version.  v2 added ``duration_wall_s``/``steps``/``metrics``;
 #: v3 dropped ``duration_wall_s`` from the *file* (host timing made journal
@@ -457,11 +423,9 @@ class RobustTrialRunner:
                 if record.ok and trial < self.trials
             }
             report.resumed = len(records)
-        pass_budget = self._wants_step_budget(trial_fn)
-        pass_metrics = self._wants_metrics(trial_fn)
         pending = [trial for trial in range(self.trials)
                    if trial not in records]
-        runlog = _resolve_runlog(self)
+        runlog = resolve_runlog(self.runlog, self.executor)
         runlog.emit(
             "run_start", experiment=self.experiment, trials=self.trials,
             pending=len(pending), resumed=report.resumed,
@@ -474,48 +438,43 @@ class RobustTrialRunner:
             },
         )
         task = _TrialTask(runner=self, trial_fn=trial_fn,
-                          pass_budget=pass_budget, pass_metrics=pass_metrics)
-        # Cache partition: trials whose exact (params, seed, code) result
-        # is already stored replay their journal row without dispatching;
-        # everything else runs.  Only the parent consults or writes the
-        # cache, same single-writer discipline as the journal itself.
+                          pass_budget=self._wants_step_budget(trial_fn),
+                          pass_metrics=self._wants_metrics(trial_fn))
         keyer = TrialKeyer.create(
             resolve_cache(self.cache, self.executor), trial_fn,
             experiment=self.experiment,
             extra={"max_attempts": self.max_attempts,
                    "step_budget": self.step_budget},
-            code_extra=(type(self),),
+            code_extra=(type(self),), codec=_RECORD_CODEC,
         )
-        to_run: list[int] = []
-        for trial in pending:
-            record = self._cached_record(keyer, trial, runlog)
-            if record is None:
-                to_run.append(trial)
-                continue
-            records[record.trial] = record
-            self._write_journal(records)
-            self._emit_trial_complete(runlog, record, wall_s=0.0)
         # Workers hand records back; only this (parent) process merges them
-        # and touches the journal file.  The merge is keyed by trial index,
-        # so completion order never reaches the output.  A supervised
-        # executor may yield a QuarantinedTask placeholder instead of a
-        # record — a trial the supervisor retired after repeated
-        # host-level faults — which classifies into the ordinary failure
-        # taxonomy below.  The journal is flushed after every record, so
-        # a KeyboardInterrupt out of the executor's signal drain leaves a
-        # resumable journal behind.
-        for index, result in self.executor.run_tasks(task, to_run):
-            if isinstance(result, QuarantinedTask):
-                record = self._quarantined_record(to_run[index], result)
+        # and touches the journal file, flushed after every record so an
+        # interrupt leaves a resumable journal behind.  A quarantined trial
+        # is journaled as an ordinary failure, so --resume re-runs it.
+        key_items = [(trial, derive_seed(self.experiment, trial))
+                     for trial in pending]
+        for index, record, _ in dispatch(self.executor, task, pending,
+                                         keyer=keyer, runlog=runlog,
+                                         key_items=key_items):
+            if isinstance(record, Failure):
+                trial = pending[index]
+                record = TrialRecord(
+                    trial=trial, seed=derive_seed(self.experiment, trial),
+                    status=record.status, error=record.error,
+                    attempts=record.attempts)
                 report.quarantined += 1
-            else:
-                record = result
             records[record.trial] = record
             self._write_journal(records)
-            self._emit_trial_complete(
-                runlog, record, wall_s=round(record.duration_wall_s, 6))
-            if not isinstance(result, QuarantinedTask):
-                self._store_record(keyer, record, runlog)
+            # Everything but the wall timing is seed-determined, so the
+            # runlog's deterministic view replays byte-identically.  A
+            # cache hit carries no wall time: the replay cost is zero.
+            runlog.emit(
+                "trial_complete", trial=record.trial, status=record.status,
+                attempts=record.attempts, value=record.value,
+                steps=record.steps, error=record.error[:200],
+                metrics_digest=snapshot_digest(record.metrics),
+                host={"wall_s": round(record.duration_wall_s, 6)},
+            )
         report.supervision = getattr(self.executor, "last_supervision", None)
         if not pending:
             # Every trial was satisfied from the journal: rewrite it anyway
@@ -525,96 +484,6 @@ class RobustTrialRunner:
         runlog.emit("run_end", completed=report.completed,
                     failures=report.failures, quarantined=report.quarantined)
         return report
-
-    # -- result cache ------------------------------------------------------
-
-    def _emit_trial_complete(self, runlog: AnyRunLog, record: TrialRecord,
-                             wall_s: float) -> None:
-        # Everything but the wall timing is seed-determined, so the
-        # runlog's deterministic view replays byte-identically; the
-        # host timing rides along under the `host` key.  Cache hits pass
-        # wall_s=0.0 — the replay cost, not the original compute cost.
-        runlog.emit(
-            "trial_complete", trial=record.trial, status=record.status,
-            attempts=record.attempts, value=record.value,
-            steps=record.steps, error=record.error[:200],
-            metrics_digest=snapshot_digest(record.metrics),
-            host={"wall_s": wall_s},
-        )
-
-    def _cached_record(self, keyer: Optional[TrialKeyer], trial: int,
-                       runlog: AnyRunLog) -> Optional[TrialRecord]:
-        """The stored record for one pending trial, or ``None`` to run it.
-
-        Only ``ok`` rows are ever trusted from the store (failures re-run
-        deterministically, so replay and re-execution agree anyway); a
-        torn or mismatched entry is re-booked as a miss.
-        """
-        if keyer is None:
-            return None
-        key = keyer.key(trial, derive_seed(self.experiment, trial))
-        if key is None:
-            return None
-        entry = keyer.cache.get(key)
-        if entry is None:
-            runlog.emit("cache_miss", experiment=self.experiment,
-                        trial=trial, key=key)
-            return None
-        record: Optional[TrialRecord]
-        try:
-            record = (TrialRecord.from_dict(entry["payload"])
-                      if entry.get("kind") == KIND_RECORD else None)
-        except (KeyError, TypeError, ValueError):
-            record = None
-        if record is None or record.trial != trial or not record.ok:
-            keyer.cache.stats.hits -= 1
-            keyer.cache.stats.misses += 1
-            runlog.emit("cache_miss", experiment=self.experiment,
-                        trial=trial, key=key)
-            return None
-        runlog.emit("cache_hit", experiment=self.experiment, trial=trial,
-                    key=key)
-        return record
-
-    def _store_record(self, keyer: Optional[TrialKeyer],
-                      record: TrialRecord, runlog: AnyRunLog) -> None:
-        if keyer is None or not record.ok:
-            return
-        key = keyer.key(record.trial,
-                        derive_seed(self.experiment, record.trial))
-        if key is None:
-            return
-        keyer.cache.put(key, experiment=self.experiment,
-                        trial=record.trial, kind=KIND_RECORD,
-                        payload=self._journal_row(record),
-                        fingerprint=keyer.fingerprint)
-        runlog.emit("cache_store", experiment=self.experiment,
-                    trial=record.trial, key=key)
-
-    def _quarantined_record(self, trial: int,
-                            quarantined: QuarantinedTask) -> TrialRecord:
-        """Classify a supervisor-quarantined trial into the record taxonomy.
-
-        A worker crash is a crash, a hung task is a timeout, and a task
-        error is an error — the host-level taxonomy folds into the same
-        statuses sim-level failures use, so tables, ``failure_counts``
-        and resume (failed rows re-run) behave identically.  The error
-        text is deterministic (attempt counts come from the fault plan,
-        never from host timing), which keeps journals byte-identical
-        across runs whenever the faults themselves are deterministic.
-        """
-        status = {
-            WORKER_CRASH: TRIAL_CRASH,
-            TASK_HANG: TRIAL_TIMEOUT,
-        }.get(quarantined.kind, TRIAL_ERROR)
-        return TrialRecord(
-            trial=trial,
-            seed=derive_seed(self.experiment, trial),
-            status=status,
-            error=(f"quarantined after {quarantined.attempts} faulted "
-                   f"dispatches ({quarantined.kind}): {quarantined.error}"),
-            attempts=quarantined.attempts,
-        )
 
     def _run_trial(self, trial_fn: Callable, trial: int,
                    pass_budget: bool, pass_metrics: bool = False) -> TrialRecord:
@@ -631,19 +500,10 @@ class RobustTrialRunner:
             try:
                 value = self._attempt(trial_fn, seed, pass_budget,
                                       metrics=registry)
-            except Interrupt as fault:
-                record.status = TRIAL_CRASH
-                record.error = f"interrupted: {fault.cause!r}"
-            except SimDeadlock as deadlock:
-                record.status = TRIAL_DEADLOCK
-                record.error = str(deadlock)
-            except StepBudgetExceeded as budget:
-                record.status = TRIAL_TIMEOUT
-                record.error = str(budget)
-                record.steps = budget.steps
             except Exception as error:  # noqa: BLE001 - taxonomy boundary
-                record.status = TRIAL_ERROR
-                record.error = f"{type(error).__name__}: {error}"
+                record.status, record.error = classify(error)
+                if isinstance(error, StepBudgetExceeded):
+                    record.steps = error.steps
             else:
                 elapsed = time.monotonic() - started  # simlint: disable=DET001
                 if (self.wall_budget_s is not None
@@ -712,9 +572,25 @@ class _TrialTask:
                                       self.pass_budget, self.pass_metrics)
 
 
-def trial_summary(values: Sequence[float]) -> Summary:
-    """Convenience re-export of :func:`repro.analysis.stats.summarize`."""
-    return summarize(values)
+def _decode_record(payload: dict, trial: int) -> TrialRecord:
+    """A stored journal row, trusted only if it is this trial's ``ok`` row.
+
+    Failures are never stored: they re-run deterministically, so replay
+    and re-execution agree anyway.
+    """
+    record = TrialRecord.from_dict(payload)
+    if record.trial != trial or not record.ok:
+        raise ValueError(f"stored row does not replay trial {trial}")
+    return record
+
+
+#: Journal rows minus host timing: replaying one reproduces journal bytes.
+_RECORD_CODEC = Codec(
+    KIND_RECORD,
+    lambda record: RobustTrialRunner._journal_row(record) if record.ok
+    else None,
+    _decode_record,
+)
 
 
 __all__ = [
@@ -723,7 +599,6 @@ __all__ = [
     "TrialError",
     "TrialRecord",
     "TrialRunner",
-    "TrialTimeout",
     "TRIAL_CRASH",
     "TRIAL_DEADLOCK",
     "TRIAL_ERROR",
@@ -731,5 +606,4 @@ __all__ = [
     "TRIAL_TIMEOUT",
     "derive_retry_seed",
     "derive_seed",
-    "trial_summary",
 ]

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import TrialCache, cached_map
+from repro.cache import TrialCache
+from repro.core.pipeline import cached_map
 from repro.device import Device, DeviceSpec, NEXUS4
 from repro.netstack import HostStack, HttpClient, Link, LinkSpec
-from repro.parallel import Executor, SerialExecutor, drop_quarantined
+from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
 from repro.web import BrowserEngine
 from repro.web.costmodel import browser_profile
@@ -100,12 +101,12 @@ def joint_network_device_grid(
     for mbps in bandwidths_mbps:
         link_spec = LinkSpec(goodput_bps=mbps * 1e6)
         for mhz in clocks_mhz:
-            # drop_quarantined: supervised executors may retire a page
-            # load after repeated host faults; the cell averages whatever
-            # loads survived (n=0 renders "n/a", times fall back to 0).
-            results = drop_quarantined(cached_map(
+            # Supervised executors may retire a page load after repeated
+            # host faults; the cell averages whatever loads survived
+            # (n=0 renders "n/a", times fall back to 0).
+            results = cached_map(
                 executor, _GridLoadTask(spec, link_spec, mhz), pages,
-                experiment=f"joint:{mbps}:{mhz}", cache=cache))
+                experiment=f"joint:{mbps}:{mhz}", cache=cache)
             n = len(results) or 1
             points.append(JointPoint(
                 bandwidth_mbps=mbps,
@@ -153,12 +154,12 @@ def tls_overhead(
     link_spec = LinkSpec()
     points = []
     for mhz in clocks_mhz:
-        tls_on = drop_quarantined(cached_map(
+        tls_on = cached_map(
             executor, _GridLoadTask(spec, link_spec, mhz, tls=True), pages,
-            experiment=f"tls:{mhz}:on", cache=cache))
-        tls_off = drop_quarantined(cached_map(
+            experiment=f"tls:{mhz}:on", cache=cache)
+        tls_off = cached_map(
             executor, _GridLoadTask(spec, link_spec, mhz, tls=False), pages,
-            experiment=f"tls:{mhz}:off", cache=cache))
+            experiment=f"tls:{mhz}:off", cache=cache)
         points.append(TlsPoint(
             clock_mhz=mhz,
             plt_tls=summarize([r.plt for r in tls_on]),
@@ -188,13 +189,13 @@ def browsers_vs_clock(
     for browser_name in browsers:
         table[browser_name] = {}
         for mhz in clocks_mhz:
-            results = drop_quarantined(cached_map(
+            results = cached_map(
                 executor,
                 _GridLoadTask(spec, link_spec, mhz,
                               browser_name=browser_name),
                 pages, experiment=f"browsers:{browser_name}:{mhz}",
                 cache=cache,
-            ))
+            )
             table[browser_name][mhz] = summarize([r.plt for r in results])
     return table
 

@@ -6,12 +6,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import TrialCache, cached_map
+from repro.cache import TrialCache
 from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
+from repro.core.pipeline import cached_map
 from repro.device import Device, DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
 from repro.netstack import Link, LinkSpec
-from repro.parallel import Executor, SerialExecutor, drop_quarantined
+from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
 from repro.video import StreamingPlayer, StreamingResult, VideoSpec
 
@@ -69,11 +70,11 @@ class VideoStudy:
                  for t in range(self.config.trials)]
         # Quarantined trials (supervised executors only) shrink n rather
         # than failing the sweep — same degradation as sim-level faults.
-        results = drop_quarantined(cached_map(
+        results = cached_map(
             self.executor,
             _StreamTask(study=self, spec=spec, device_kwargs=device_kwargs),
             seeds, experiment=experiment, cache=self.config.cache,
-        ))
+        )
         return StreamingPoint(
             label=label,
             startup=summarize([r.startup_latency_s for r in results]),

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import TrialCache, cached_map
+from repro.cache import TrialCache
 from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
+from repro.core.pipeline import cached_map
 from repro.device import Device, DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
 from repro.netstack import Link, LinkSpec
-from repro.parallel import Executor, SerialExecutor, drop_quarantined
+from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
 from repro.web import BrowserEngine, PageLoadResult
 from repro.workloads import generate_corpus
@@ -100,19 +101,16 @@ class WebStudy:
                              device_kwargs=device_kwargs)
         seeds = [derive_seed(experiment, trial)
                  for trial in range(self.config.trials)]
-        out: list[PageLoadResult] = []
         # cached_map() returns trial-order results whatever the completion
         # order, so the flattened list matches the serial loop exactly —
         # and replays any trial whose exact (params, seed, code) result
-        # is already stored.  A supervised executor may quarantine a
-        # trial after repeated host-level faults; the sweep then
-        # summarizes the trials that survived (smaller n), mirroring how
-        # sim-level failures degrade.
-        mapped = cached_map(self.executor, task, seeds,
-                            experiment=experiment, cache=self.config.cache)
-        for trial_results in drop_quarantined(mapped):
-            out.extend(trial_results)
-        return out
+        # is already stored.  A trial the supervisor quarantined drops
+        # out (smaller n), mirroring how sim-level failures degrade.
+        return [result
+                for trial_results in cached_map(
+                    self.executor, task, seeds, experiment=experiment,
+                    cache=self.config.cache)
+                for result in trial_results]
 
     def plt_summary(self, spec: DeviceSpec, experiment: str,
                     pages: Optional[Sequence[PageSpec]] = None,

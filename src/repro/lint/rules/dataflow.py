@@ -335,7 +335,7 @@ class WallClockTaintRule(_EngineRule):
 # -- DF703: pickle-safety -----------------------------------------------------
 
 _MULTI_EXECUTOR_PRODUCERS = frozenset({
-    "MultiprocessExecutor", "get_executor",
+    "SupervisedExecutor", "ChaosExecutor", "get_executor",
 })
 _SERIAL_EXECUTOR_PRODUCERS = frozenset({"SerialExecutor"})
 _EXECUTOR_DISPATCH_METHODS = frozenset({"map", "run_tasks"})
@@ -412,8 +412,9 @@ class PickleSafetyRule(_EngineRule):
     severity = Severity.ERROR
     title = "unpicklable object submitted to a multiprocess executor"
     rationale = (
-        "MultiprocessExecutor ships tasks and results across process "
-        "boundaries by pickling.  Lambdas, nested functions, locally "
+        "SupervisedExecutor (and its ChaosExecutor test double, and "
+        "get_executor(N) for N > 1) ships tasks and results across "
+        "process boundaries by pickling.  Lambdas, nested functions, locally "
         "defined classes, open handles, and objects holding a live "
         "simulation Environment all fail (or worse, serialize kernel "
         "state) — and the failure surfaces only at fan-out time, on the "

@@ -11,7 +11,6 @@ journal.  See ``docs/observability.md`` ("Run-level observability").
 
 from repro.parallel.executors import (
     Executor,
-    MultiprocessExecutor,
     ParallelExecutionError,
     SerialExecutor,
     ensure_picklable,
@@ -24,12 +23,10 @@ from repro.parallel.supervisor import (
     QuarantinedTask,
     SupervisedExecutor,
     SupervisionReport,
-    drop_quarantined,
 )
 
 __all__ = [
     "Executor",
-    "MultiprocessExecutor",
     "ParallelExecutionError",
     "QuarantinedTask",
     "SerialExecutor",
@@ -38,7 +35,6 @@ __all__ = [
     "TASK_ERROR",
     "TASK_HANG",
     "WORKER_CRASH",
-    "drop_quarantined",
     "ensure_picklable",
     "get_executor",
 ]

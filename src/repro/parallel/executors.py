@@ -1,4 +1,4 @@
-"""Pluggable trial executors: serial and multiprocess fan-out.
+"""Pluggable trial executors: serial and supervised multiprocess fan-out.
 
 The paper's methodology is embarrassingly parallel — every figure is N
 independent seeded repetitions per sweep point, and ``derive_seed`` makes
@@ -8,21 +8,19 @@ list, results come back keyed by item index, and callers merge them in
 index order, so the output of a sweep is byte-identical for any worker
 count.
 
-Three implementations share one contract:
+Two implementations share one contract:
 
 * :class:`SerialExecutor` — in-process, in-order; the default everywhere,
   and the reference behavior the multiprocess path must reproduce.
-* :class:`MultiprocessExecutor` — ``concurrent.futures``
-  ``ProcessPoolExecutor`` fan-out with ``max_workers`` processes.  Tasks
-  and results cross the process boundary by pickling, so task callables
-  must be picklable (module-level functions or instances of module-level
-  classes — not lambdas or closures).  Completion order is
-  nondeterministic; the index keying is what restores determinism.
 * :class:`~repro.parallel.supervisor.SupervisedExecutor` — the
-  production fan-out: the same pool semantics wrapped in a supervisor
-  that rebuilds a broken pool, times out hung tasks, quarantines poison
-  tasks, and drains cleanly on SIGINT/SIGTERM.  ``get_executor`` returns
-  it for ``--jobs N > 1``.
+  multiprocess fan-out: ``concurrent.futures`` ``ProcessPoolExecutor``
+  workers under a supervisor that rebuilds a broken pool, times out hung
+  tasks, quarantines poison tasks, and drains cleanly on SIGINT/SIGTERM.
+  Tasks and results cross the process boundary by pickling, so task
+  callables must be picklable (module-level functions or instances of
+  module-level classes — not lambdas or closures).  Completion order is
+  nondeterministic; the index keying is what restores determinism.
+  ``get_executor`` returns it for ``--jobs N > 1``.
 
 Workers never touch shared files: journals, CSVs, and figure tables are
 written by the parent after the merge (see
@@ -34,7 +32,6 @@ rule PAR601 enforces that.
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 
@@ -63,8 +60,9 @@ class Executor:
     """Contract: apply ``fn`` to every item, yield ``(index, result)``.
 
     ``run_tasks`` may yield in any order but must yield every index
-    exactly once; ``map`` restores item order.  Exceptions raised by
-    ``fn`` propagate to the caller in both implementations.
+    exactly once; ``map`` restores item order.  An exception raised by
+    ``fn`` propagates from :class:`SerialExecutor`; a supervised executor
+    retries the task and finally yields a ``QuarantinedTask`` in its place.
     """
 
     #: Worker-process count the executor was configured for (1 = serial).
@@ -100,72 +98,29 @@ class SerialExecutor(Executor):
             yield index, fn(item)
 
 
-class MultiprocessExecutor(Executor):
-    """``ProcessPoolExecutor`` fan-out across ``max_workers`` processes.
-
-    Yields ``(index, result)`` pairs as tasks complete, so a caller that
-    journals incrementally can checkpoint after every finished trial
-    while still merging deterministically by index.
-    """
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ValueError("need at least one worker")
-        self.jobs = max_workers
-
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  items: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
-        work = list(items)
-        if not work:
-            return
-        workers = min(self.jobs, len(work))
-        if workers == 1:
-            yield from SerialExecutor().run_tasks(fn, work)
-            return
-        ensure_picklable(fn)
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            pending = {pool.submit(fn, item): index
-                       for index, item in enumerate(work)}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    yield index, future.result()
-        finally:
-            # A task exception (or an abandoned generator) must not leave
-            # orphaned workers grinding through the rest of the queue: a
-            # plain `with` block would shutdown(wait=True) and block on
-            # every still-pending task instead.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 def get_executor(
     jobs: int = 1,
     *,
     task_timeout_s: Optional[float] = None,
     max_task_retries: Optional[int] = None,
-    supervised: bool = True,
 ) -> Executor:
     """``--jobs`` to executor: 1 is serial, N>1 is N worker processes.
 
-    For ``jobs > 1`` the default is a
+    For ``jobs > 1`` this is a
     :class:`~repro.parallel.supervisor.SupervisedExecutor` (pool rebuild
     on worker crash, hung-task timeout, poison-task quarantine, signal
-    drain); pass ``supervised=False`` for the bare
-    :class:`MultiprocessExecutor`.  ``task_timeout_s`` and
-    ``max_task_retries`` tune the supervisor and are rejected for the
-    unsupervised paths.
+    drain).  ``task_timeout_s`` and ``max_task_retries`` tune the
+    supervisor and are rejected for the serial path.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1 (got {jobs})")
-    if jobs == 1 or not supervised:
+    if jobs == 1:
         if task_timeout_s is not None or max_task_retries is not None:
             raise ValueError(
                 "task_timeout_s/max_task_retries require a supervised "
-                "multiprocess executor (jobs > 1, supervised=True)"
+                "multiprocess executor (jobs > 1)"
             )
-        return SerialExecutor() if jobs == 1 else MultiprocessExecutor(jobs)
+        return SerialExecutor()
     # Function-level import: the supervisor builds on this module's
     # Executor contract, so the dependency must point one way at import
     # time.
@@ -181,7 +136,6 @@ def get_executor(
 
 __all__ = [
     "Executor",
-    "MultiprocessExecutor",
     "ParallelExecutionError",
     "SerialExecutor",
     "ensure_picklable",

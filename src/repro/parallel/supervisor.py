@@ -1,10 +1,9 @@
 """Supervised fan-out: survive host-level faults without losing determinism.
 
-``MultiprocessExecutor`` is fast but brittle: one worker killed by the
-OOM killer raises ``BrokenProcessPool`` and destroys hours of sweep
-progress, and a single hung task stalls the run forever.
-:class:`SupervisedExecutor` wraps the same ``ProcessPoolExecutor``
-fan-out in a supervision loop that
+A bare ``ProcessPoolExecutor`` fan-out is fast but brittle: one worker
+killed by the OOM killer raises ``BrokenProcessPool`` and destroys hours
+of sweep progress, and a single hung task stalls the run forever.
+:class:`SupervisedExecutor` wraps the pool in a supervision loop that
 
 * **rebuilds a broken pool** and re-dispatches only the unfinished task
   indices (completed results are never re-run);
@@ -85,9 +84,9 @@ _POOL_FAILURES = (BrokenProcessPool, CancelledError)
 class QuarantinedTask:
     """Typed placeholder yielded for a task the supervisor retired.
 
-    Sits in the result stream where the real result would be, so callers
-    (``RobustTrialRunner``, the studies) can classify the loss into
-    their own failure taxonomy instead of the whole sweep failing.
+    Sits in the result stream where the real result would be;
+    :mod:`repro.core.pipeline` classifies the loss into the trial failure
+    taxonomy instead of the whole sweep failing.
     """
 
     index: int     #: task index in the submitted item list
@@ -111,16 +110,6 @@ class SupervisionReport:
                 and not self.quarantined)
 
 
-def drop_quarantined(results: Sequence[Any]) -> list:
-    """Filter :class:`QuarantinedTask` placeholders out of ``map`` output.
-
-    The studies summarize whatever trials survived (the same graceful
-    degradation ``Summary.failures`` gives sim-level faults), so a
-    quarantined trial shrinks ``n`` instead of crashing the sweep.
-    """
-    return [r for r in results if not isinstance(r, QuarantinedTask)]
-
-
 @dataclass
 class _InFlight:
     """Bookkeeping for one submitted future."""
@@ -132,8 +121,8 @@ class _InFlight:
 class SupervisedExecutor(Executor):
     """Fault-tolerant :class:`~repro.parallel.Executor` over worker pools.
 
-    Contract differences from ``MultiprocessExecutor``, all in the
-    direction of never losing the sweep:
+    Contract differences from :class:`~repro.parallel.SerialExecutor`,
+    all in the direction of never losing the sweep:
 
     * task exceptions do **not** propagate — a task that keeps raising is
       quarantined as :data:`TASK_ERROR` after ``max_task_retries``
@@ -487,5 +476,4 @@ __all__ = [
     "TASK_ERROR",
     "TASK_HANG",
     "WORKER_CRASH",
-    "drop_quarantined",
 ]

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache import (
     KIND_PICKLE,
+    Codec,
     TrialCache,
     TrialKeyer,
     decode_result,
@@ -31,29 +32,22 @@ from repro.cache import (
     resolve_cache,
 )
 from repro.core.background import BackgroundLoad, make_rng
-from repro.core.experiments import (
-    TRIAL_CRASH,
-    TRIAL_DEADLOCK,
-    TRIAL_ERROR,
+from repro.core.pipeline import (
     TRIAL_OK,
-    TRIAL_TIMEOUT,
+    Failure,
+    classify,
+    dispatch,
+    resolve_runlog,
 )
 from repro.device import Device
 from repro.netstack import Link
 from repro.obs.export import histogram_quantile
-from repro.obs.runlog import AnyRunLog, NULL_RUNLOG, RUNLOG_VERSION, RunLog
-from repro.parallel import (
-    Executor,
-    QuarantinedTask,
-    SerialExecutor,
-    SupervisionReport,
-    TASK_HANG,
-    WORKER_CRASH,
-)
+from repro.obs.runlog import RUNLOG_VERSION, RunLog
+from repro.parallel import Executor, SerialExecutor, SupervisionReport
 from repro.population.aggregate import ALL_TIER, FleetAggregator
 from repro.population.config import PopulationConfig, SessionSampler, SessionSpec
 from repro.rtc import CallConfig, VideoCall
-from repro.sim import Environment, Interrupt, SimDeadlock, StepBudgetExceeded
+from repro.sim import Environment
 from repro.video import StreamingPlayer, VideoSpec
 from repro.web import BrowserEngine
 from repro.workloads import generate_corpus
@@ -114,14 +108,8 @@ def run_session(config: PopulationConfig, corpus: Tuple[PageSpec, ...],
     error = ""
     try:
         metrics = _simulate(config, corpus, spec)
-    except Interrupt as fault:
-        status, error = TRIAL_CRASH, f"interrupted: {fault.cause!r}"
-    except SimDeadlock as deadlock:
-        status, error = TRIAL_DEADLOCK, str(deadlock)
-    except StepBudgetExceeded as budget:
-        status, error = TRIAL_TIMEOUT, str(budget)
     except Exception as exc:  # noqa: BLE001 - taxonomy boundary
-        status, error = TRIAL_ERROR, f"{type(exc).__name__}: {exc}"
+        status, error = classify(exc)
     return SessionResult(index=spec.index, tier=spec.tier,
                          workload=spec.workload, network=spec.network,
                          status=status, metrics=metrics, error=error)
@@ -144,6 +132,21 @@ class _SessionTask:
         runner = self.runner
         spec = SessionSampler(runner.config).sample(index)
         return run_session(runner.config, runner.corpus, spec)
+
+
+def _decode_session(payload: str, index: int) -> SessionResult:
+    result = decode_result(payload)
+    if not isinstance(result, SessionResult) or result.index != index:
+        raise ValueError(f"stored payload is not session {index}")
+    return result
+
+
+#: Sessions that completed, pickled (failures re-run cheaply).
+_SESSION_CODEC = Codec(
+    KIND_PICKLE,
+    lambda result: encode_result(result) if result.ok else None,
+    _decode_session,
+)
 
 
 @dataclass
@@ -256,66 +259,40 @@ class FleetRunner:
         """
         return {"config": self.config, "corpus": self.corpus}
 
-    def _resolve_runlog(self) -> AnyRunLog:
-        if self.runlog is not None:
-            return self.runlog
-        attached = getattr(self.executor, "runlog", None)
-        return NULL_RUNLOG if attached is None else attached
-
     def run(self) -> FleetReport:
         """Execute every session; returns the streamed aggregate."""
         config = self.config
-        experiment = config.experiment
-        runlog = self._resolve_runlog()
+        runlog = resolve_runlog(self.runlog, self.executor)
         sampler = SessionSampler(config)
         task = _SessionTask(runner=self)
         aggregator = FleetAggregator()
         quarantined = 0
         keyer = TrialKeyer.create(
             resolve_cache(self.cache, self.executor), task,
-            experiment=experiment)
-
-        def fold(result: SessionResult) -> None:
-            aggregator.observe(tier=result.tier, workload=result.workload,
-                               network=result.network, status=result.status,
-                               metrics=result.metrics)
-            runlog.emit("trial_complete", trial=result.index,
-                        status=result.status, tier=result.tier,
-                        workload=result.workload)
-
-        runlog.emit("run_start", experiment=experiment,
+            experiment=config.experiment, codec=_SESSION_CODEC)
+        runlog.emit("run_start", experiment=config.experiment,
                     trials=config.sessions, pending=config.sessions,
                     resumed=0, runlog_version=RUNLOG_VERSION,
                     config={"jobs": getattr(self.executor, "jobs", 1),
                             "seed": config.seed})
-        # Phase 1: replay cache hits in index order.  The partition is a
-        # function of the store's contents alone, so it is identical for
-        # every worker count.
-        pending: List[int] = []
-        keys: Dict[int, str] = {}
-        for index in range(config.sessions):
-            result = self._cached_result(keyer, index, runlog, keys)
-            if result is None:
-                pending.append(index)
-            else:
-                fold(result)
-        # Phase 2: dispatch the misses; fold strictly in pending order via
-        # a reorder buffer.  The buffer holds at most the supervisor's
-        # in-flight window (O(jobs)), preserving O(buckets) peak state.
-        buffer: Dict[int, SessionResult] = {}
-        next_fold = 0
-        for sub_index, outcome in self.executor.run_tasks(task, pending):
-            index = pending[sub_index]
-            if isinstance(outcome, QuarantinedTask):
-                result = self._quarantined_result(sampler, index, outcome)
+        for index, result, _ in dispatch(self.executor, task,
+                                         range(config.sessions),
+                                         keyer=keyer, runlog=runlog):
+            if isinstance(result, Failure):
+                # Re-sampled in the parent (cheap and deterministic) so
+                # mix counts stay complete though the worker never
+                # reported back.
+                spec = sampler.sample(index)
+                result = SessionResult(
+                    index=index, tier=spec.tier, workload=spec.workload,
+                    network=spec.network, status=result.status,
+                    metrics={}, error=result.error)
                 quarantined += 1
-            else:
-                result = outcome
-                self._store_result(keyer, result, keys, runlog)
-            buffer[sub_index] = result
-            while next_fold in buffer:
-                fold(buffer.pop(next_fold))
-                next_fold += 1
+            aggregator.observe(tier=result.tier, workload=result.workload,
+                               network=result.network, status=result.status,
+                               metrics=result.metrics)
+            runlog.emit("trial_complete", trial=index, status=result.status,
+                        tier=result.tier, workload=result.workload)
         runlog.emit("run_end", completed=aggregator.completed,
                     failures=sum(aggregator.failures.values()),
                     quarantined=quarantined)
@@ -324,74 +301,6 @@ class FleetRunner:
             aggregate=aggregator.snapshot(),
             quarantined=quarantined,
             supervision=getattr(self.executor, "last_supervision", None),
-        )
-
-    # -- result cache ------------------------------------------------------
-
-    def _cached_result(self, keyer: Optional[TrialKeyer], index: int,
-                       runlog: AnyRunLog,
-                       keys: Dict[int, str]) -> Optional[SessionResult]:
-        """The stored result for one session, or ``None`` to execute it."""
-        if keyer is None:
-            return None
-        key = keyer.key(index, index)
-        if key is None:
-            return None
-        keys[index] = key
-        entry = keyer.cache.get(key)
-        if entry is not None and entry.get("kind") == KIND_PICKLE:
-            try:
-                result = decode_result(entry["payload"])
-            except Exception:
-                result = None
-            if isinstance(result, SessionResult) and result.index == index:
-                runlog.emit("cache_hit", experiment=self.config.experiment,
-                            index=index, key=key)
-                return result
-            # Torn or stale payload: re-book the optimistic hit as a miss.
-            keyer.cache.stats.hits -= 1
-            keyer.cache.stats.misses += 1
-        elif entry is not None:
-            keyer.cache.stats.hits -= 1
-            keyer.cache.stats.misses += 1
-        runlog.emit("cache_miss", experiment=self.config.experiment,
-                    index=index, key=key)
-        return None
-
-    def _store_result(self, keyer: Optional[TrialKeyer],
-                      result: SessionResult, keys: Dict[int, str],
-                      runlog: AnyRunLog) -> None:
-        """Store one executed session (ok only — failures re-run cheaply)."""
-        if keyer is None or not result.ok:
-            return
-        key = keys.get(result.index)
-        if key is None:
-            return
-        keyer.cache.put(key, experiment=self.config.experiment,
-                        trial=result.index, kind=KIND_PICKLE,
-                        payload=encode_result(result),
-                        fingerprint=keyer.fingerprint)
-        runlog.emit("cache_store", experiment=self.config.experiment,
-                    index=result.index, key=key)
-
-    def _quarantined_result(self, sampler: SessionSampler, index: int,
-                            quarantined: QuarantinedTask) -> SessionResult:
-        """Classify a supervisor-quarantined session into the taxonomy.
-
-        The session's composition is re-sampled in the parent (cheap and
-        deterministic) so mix counts stay complete even though the
-        worker never reported back.
-        """
-        spec = sampler.sample(index)
-        status = {
-            WORKER_CRASH: TRIAL_CRASH,
-            TASK_HANG: TRIAL_TIMEOUT,
-        }.get(quarantined.kind, TRIAL_ERROR)
-        return SessionResult(
-            index=index, tier=spec.tier, workload=spec.workload,
-            network=spec.network, status=status, metrics={},
-            error=(f"quarantined after {quarantined.attempts} faulted "
-                   f"dispatches ({quarantined.kind}): {quarantined.error}"),
         )
 
 

@@ -1,4 +1,4 @@
-"""repro.cache unit coverage: keys, fingerprints, the store, cached_map.
+"""repro.cache unit coverage: keys, fingerprints, the store, the pipeline.
 
 The contracts under test, in dependency order:
 
@@ -9,7 +9,8 @@ The contracts under test, in dependency order:
 * the store round-trips entries atomically, treats anything it cannot
   vouch for as a miss, and confines gc/clear to marked cache roots;
 * ``cached_map`` is ``executor.map`` with short-circuiting: hits skip
-  execution, misses dispatch and store, order is preserved.
+  execution, misses dispatch and store, order is preserved — and only
+  entries the keyer's codec can vouch for count as hits.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from repro.cache import (
     CACHE_MARKER,
     CACHE_VERSION,
     KIND_PICKLE,
+    KIND_RECORD,
     TrialCache,
     TrialKeyer,
     Uncacheable,
-    cached_map,
     canonical_json,
     canonicalize,
     clear_caches,
@@ -37,6 +38,7 @@ from repro.cache import (
     resolve_cache,
     trial_key,
 )
+from repro.core.pipeline import cached_map, dispatch
 from repro.device import NEXUS4
 from repro.parallel import SerialExecutor
 
@@ -351,17 +353,16 @@ def test_cached_map_uncacheable_task_runs_uncached(tmp_path):
     assert cache.entry_count() == 0
 
 
-def test_cached_map_reports_was_cached_through_on_result(tmp_path):
+def test_dispatch_flags_cache_replays(tmp_path):
     cache = TrialCache(tmp_path)
     task = ScaleTask(scale=2)
-    seen: list = []
-    cached_map(SerialExecutor(), task, [1], experiment="e", cache=cache,
-               on_result=lambda i, value, was_cached: seen.append(
-                   (i, value, was_cached)))
-    cached_map(SerialExecutor(), task, [1], experiment="e", cache=cache,
-               on_result=lambda i, value, was_cached: seen.append(
-                   (i, value, was_cached)))
-    assert seen == [(0, 2, False), (0, 2, True)]
+    cached_map(SerialExecutor(), task, [1, 2, 3], experiment="e",
+               cache=cache)
+    keyer = TrialKeyer.create(cache, task, experiment="e")
+    cache._entry_path(keyer.key(1, 2)).unlink()
+    seen = list(dispatch(SerialExecutor(), task, [1, 2, 3], keyer=keyer))
+    # Index order, hits and the executed miss merged.
+    assert seen == [(0, 2, True), (1, 4, False), (2, 6, True)]
 
 
 def test_experiment_and_scale_separate_cache_entries(tmp_path):
@@ -391,6 +392,21 @@ def test_torn_payload_demotes_the_hit_and_recomputes(tmp_path):
                       cache=fresh) == [2]
     assert fresh.stats.hits == 0 and fresh.stats.misses == 1
     assert fresh.stats.stores == 1  # the recompute re-stored a good entry
+
+
+def test_wrong_kind_entry_is_booked_as_a_miss(tmp_path):
+    cache = TrialCache(tmp_path)
+    task = ScaleTask(scale=2)
+    keyer = TrialKeyer.create(cache, task, experiment="e")
+    cache.put(keyer.key(0, 1), experiment="e", trial=0, kind=KIND_RECORD,
+              payload={"trial": 0, "seed": 1, "status": "ok", "value": 9.0},
+              fingerprint=keyer.fingerprint)
+    CALLS.clear()
+    assert cached_map(SerialExecutor(), task, [1], experiment="e",
+                      cache=cache) == [2]
+    assert CALLS == [1]  # recomputed, not trusted
+    assert (cache.stats.hits, cache.stats.misses,
+            cache.stats.stores) == (0, 1, 2)
 
 
 def test_trial_keyer_disables_caching_for_uncacheable_extras(tmp_path):

@@ -273,7 +273,7 @@ def test_df702_flags_wallclock_attr_store_and_metric(tmp_path):
 def test_df703_flags_lambda_into_multiprocess_map(tmp_path):
     report = project_lint(tmp_path, {
         "pool.py": """
-            class MultiprocessExecutor:
+            class SupervisedExecutor:
                 def __init__(self, max_workers):
                     self.max_workers = max_workers
 
@@ -281,10 +281,10 @@ def test_df703_flags_lambda_into_multiprocess_map(tmp_path):
                     return [fn(item) for item in items]
             """,
         "app.py": """
-            from pool import MultiprocessExecutor
+            from pool import SupervisedExecutor
 
             def fanout(items):
-                exe = MultiprocessExecutor(4)
+                exe = SupervisedExecutor(4)
                 return exe.map(lambda x: x + 1, items)
             """,
     }, select=["DF703"])
@@ -297,7 +297,7 @@ def test_df703_flags_lambda_into_multiprocess_map(tmp_path):
 def test_df703_flags_local_def_but_not_serial(tmp_path):
     report = project_lint(tmp_path, {
         "pool.py": """
-            class MultiprocessExecutor:
+            class SupervisedExecutor:
                 def map(self, fn, items):
                     return [fn(item) for item in items]
 
@@ -306,12 +306,12 @@ def test_df703_flags_local_def_but_not_serial(tmp_path):
                     return [fn(item) for item in items]
             """,
         "app.py": """
-            from pool import MultiprocessExecutor, SerialExecutor
+            from pool import SupervisedExecutor, SerialExecutor
 
             def multi(items):
                 def inner(x):
                     return x + 1
-                return MultiprocessExecutor().map(inner, items)
+                return SupervisedExecutor().map(inner, items)
 
             def serial(items):
                 return SerialExecutor().map(lambda x: x + 1, items)
@@ -325,21 +325,43 @@ def test_df703_flags_local_def_but_not_serial(tmp_path):
 def test_df703_clean_with_module_level_task(tmp_path):
     report = project_lint(tmp_path, {
         "pool.py": """
-            class MultiprocessExecutor:
+            class SupervisedExecutor:
                 def map(self, fn, items):
                     return [fn(item) for item in items]
             """,
         "app.py": """
-            from pool import MultiprocessExecutor
+            from pool import SupervisedExecutor
 
             def double(x):
                 return x * 2
 
             def fanout(items):
-                return MultiprocessExecutor().map(double, items)
+                return SupervisedExecutor().map(double, items)
             """,
     }, select=["DF703"])
     assert report.findings == []
+
+
+def test_df703_flags_directly_built_supervised_and_chaos_executors(tmp_path):
+    report = project_lint(tmp_path, {
+        "app.py": """
+            from repro.parallel import SupervisedExecutor
+            from repro.parallel.chaos import ChaosExecutor
+
+            def supervised(items):
+                return SupervisedExecutor(2).map(lambda x: x, items)
+
+            def chaotic(items, plan):
+                def inner(x):
+                    return x
+                return ChaosExecutor(2, plan).run_tasks(inner, items)
+            """,
+    }, select=["DF703"])
+    assert rule_ids(report) == ["DF703"]
+    messages = [finding.message for finding in report.findings]
+    assert len(messages) == 2
+    assert "a lambda" in messages[0]
+    assert "defined inside another function" in messages[1]
 
 
 # -- suppressions, determinism, parse errors -------------------------------
@@ -347,15 +369,15 @@ def test_df703_clean_with_module_level_task(tmp_path):
 def test_project_findings_honor_line_suppressions(tmp_path):
     report = project_lint(tmp_path, {
         "pool.py": """
-            class MultiprocessExecutor:
+            class SupervisedExecutor:
                 def map(self, fn, items):
                     return [fn(item) for item in items]
             """,
         "app.py": """
-            from pool import MultiprocessExecutor
+            from pool import SupervisedExecutor
 
             def fanout(items):
-                exe = MultiprocessExecutor()
+                exe = SupervisedExecutor()
                 return exe.map(lambda x: x, items)  # simlint: disable=DF703
             """,
     }, select=["DF703"])
@@ -403,15 +425,15 @@ def test_parse_error_carries_line_col_and_text(tmp_path):
 
 FLAGGED_PROJECT = {
     "pool.py": """
-        class MultiprocessExecutor:
+        class SupervisedExecutor:
             def map(self, fn, items):
                 return [fn(item) for item in items]
         """,
     "app.py": """
-        from pool import MultiprocessExecutor
+        from pool import SupervisedExecutor
 
         def fanout(items):
-            return MultiprocessExecutor().map(lambda x: x, items)
+            return SupervisedExecutor().map(lambda x: x, items)
         """,
 }
 

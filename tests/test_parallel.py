@@ -1,4 +1,4 @@
-"""Executor contract: serial/multiprocess equivalence and validation."""
+"""Executor contract: serial/supervised equivalence and validation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.parallel import (
     Executor,
-    MultiprocessExecutor,
     ParallelExecutionError,
     SerialExecutor,
     SupervisedExecutor,
@@ -33,32 +32,25 @@ def test_serial_map_preserves_item_order():
 def test_multiprocess_map_matches_serial():
     items = list(range(20))
     serial = SerialExecutor().map(square, items)
-    assert MultiprocessExecutor(max_workers=3).map(square, items) == serial
+    assert SupervisedExecutor(3).map(square, items) == serial
 
 
 def test_run_tasks_yields_every_index_exactly_once():
-    for executor in (SerialExecutor(), MultiprocessExecutor(max_workers=2)):
+    for executor in (SerialExecutor(), SupervisedExecutor(2)):
         indices = sorted(i for i, _ in executor.run_tasks(square, range(9)))
         assert indices == list(range(9))
 
 
 def test_empty_item_list_is_fine():
     assert SerialExecutor().map(square, []) == []
-    assert MultiprocessExecutor(max_workers=4).map(square, []) == []
-
-
-def test_single_item_skips_the_pool():
-    # One item never justifies worker spawn; the serial fallback also means
-    # lambdas survive, which would be unpicklable in the pool path.
-    single = MultiprocessExecutor(max_workers=4)
-    assert single.map(lambda x: x + 1, [41]) == [42]  # simlint: disable=DF703
+    assert SupervisedExecutor(4).map(square, []) == []
 
 
 def test_task_exceptions_propagate():
+    # Serial only: a supervised executor quarantines instead (see
+    # tests/test_parallel_supervisor.py).
     with pytest.raises(ValueError, match="boom on"):
         SerialExecutor().map(explode, [1])
-    with pytest.raises(ValueError, match="boom on"):
-        MultiprocessExecutor(max_workers=2).map(explode, [1, 2, 3])
 
 
 # -- validation and dispatch ------------------------------------------------
@@ -71,7 +63,7 @@ def test_unpicklable_fn_is_a_parallel_execution_error():
         return x
 
     with pytest.raises(ParallelExecutionError, match="not picklable"):
-        MultiprocessExecutor(max_workers=2).map(closure, [1, 2])  # simlint: disable=DF703
+        SupervisedExecutor(2).map(closure, [1, 2])  # simlint: disable=DF703
 
 
 def test_dropped_index_is_detected():
@@ -90,10 +82,6 @@ def test_get_executor_dispatch():
     pooled = get_executor(4)
     assert isinstance(pooled, SupervisedExecutor)
     assert pooled.jobs == 4
-    bare = get_executor(4, supervised=False)
-    assert isinstance(bare, MultiprocessExecutor)
-    assert not isinstance(bare, SupervisedExecutor)
-    assert bare.jobs == 4
 
 
 def test_supervisor_knobs_pass_through_get_executor():
@@ -107,7 +95,7 @@ def test_supervisor_knobs_rejected_for_unsupervised_paths():
     with pytest.raises(ValueError, match="supervised"):
         get_executor(1, task_timeout_s=30.0)
     with pytest.raises(ValueError, match="supervised"):
-        get_executor(4, max_task_retries=5, supervised=False)
+        get_executor(1, max_task_retries=5)
 
 
 def test_invalid_worker_counts_raise():
@@ -115,16 +103,16 @@ def test_invalid_worker_counts_raise():
         with pytest.raises(ValueError, match="at least 1"):
             get_executor(jobs)
     with pytest.raises(ValueError):
-        MultiprocessExecutor(max_workers=0)
+        SupervisedExecutor(0)
 
 
 def test_abandoned_run_tasks_shuts_the_pool_down():
     # Closing the generator mid-iteration (the leak the try/finally in
-    # MultiprocessExecutor.run_tasks fixes) must not leave orphaned
+    # SupervisedExecutor._supervise fixes) must not leave orphaned
     # workers grinding through the queue.
-    executor = MultiprocessExecutor(max_workers=2)
+    executor = SupervisedExecutor(2)
     gen = executor.run_tasks(square, list(range(50)))
     next(gen)
-    gen.close()  # runs the finally: shutdown(wait=False, cancel_futures=True)
+    gen.close()  # runs the finally: the pool is killed, handlers restored
     # The executor stays usable for a fresh pool afterwards.
     assert executor.map(square, [1, 2, 3]) == [1, 4, 9]

@@ -1,4 +1,4 @@
-"""Property: serial and multiprocess runs are byte-identical.
+"""Property: serial and supervised multiprocess runs are byte-identical.
 
 The executor layer's whole contract is that worker count is invisible in
 the output: ``RobustRunReport`` records, journal bytes, and ``Summary``
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.background import make_rng
 from repro.core.experiments import RobustTrialRunner
-from repro.parallel import MultiprocessExecutor, SerialExecutor
+from repro.parallel import SerialExecutor, SupervisedExecutor
 from repro.sim import Interrupt
 
 
@@ -54,7 +54,7 @@ def _run(experiment: str, trials: int, executor,
        workers=st.integers(min_value=2, max_value=4))
 def test_multiprocess_report_matches_serial(experiment, trials, workers):
     serial = _run(experiment, trials, SerialExecutor())
-    pooled = _run(experiment, trials, MultiprocessExecutor(workers))
+    pooled = _run(experiment, trials, SupervisedExecutor(workers))
     assert _journal_rows(serial) == _journal_rows(pooled)
     assert str(serial.summary()) == str(pooled.summary())
     assert serial.failure_counts() == pooled.failure_counts()
@@ -68,7 +68,7 @@ def test_multiprocess_journal_bytes_match_serial(trials, workers):
         serial_journal = Path(tmp) / "serial.json"
         pooled_journal = Path(tmp) / "pooled.json"
         _run("parprop", trials, SerialExecutor(), serial_journal)
-        _run("parprop", trials, MultiprocessExecutor(workers),
+        _run("parprop", trials, SupervisedExecutor(workers),
              pooled_journal)
         assert serial_journal.read_bytes() == pooled_journal.read_bytes()
         payload = json.loads(serial_journal.read_text())

@@ -29,6 +29,9 @@ from repro.core.experiments import (
     TRIAL_CRASH,
     TRIAL_ERROR,
     TRIAL_TIMEOUT,
+    TrialError,
+    TrialRunner,
+    derive_seed,
 )
 from repro.parallel import (
     QuarantinedTask,
@@ -37,7 +40,6 @@ from repro.parallel import (
     TASK_ERROR,
     TASK_HANG,
     WORKER_CRASH,
-    drop_quarantined,
 )
 from repro.parallel.chaos import (
     CHAOS_CORRUPT,
@@ -84,7 +86,7 @@ def test_supervised_always_uses_the_pool():
     # No serial degradation for one item/worker: quarantine and recovery
     # semantics must not silently change with workload size, so even the
     # smallest run crosses the process boundary (and therefore requires a
-    # picklable task, unlike MultiprocessExecutor's single-item path).
+    # picklable task).
     assert SupervisedExecutor(4, **FAST).map(square, [7]) == [49]
 
 
@@ -159,7 +161,8 @@ def test_poison_crash_quarantines_as_worker_crash():
     assert [q.index for q in quarantined] == [3]
     assert quarantined[0].kind == WORKER_CRASH
     assert quarantined[0].attempts == 3  # initial dispatch + 2 retries
-    assert drop_quarantined(results) == [x * x for x in range(6) if x != 3]
+    assert [r for r in results if not isinstance(r, QuarantinedTask)] == [
+        x * x for x in range(6) if x != 3]
 
 
 def test_poison_hang_quarantines_as_task_hang():
@@ -182,7 +185,7 @@ def test_poison_corrupt_quarantines_as_task_error():
 
 
 def test_task_exception_quarantines_instead_of_propagating():
-    # Unlike MultiprocessExecutor, a supervised run never dies on a task
+    # Unlike SerialExecutor, a supervised run never dies on a task
     # exception: the failing task retries, then quarantines as TASK_ERROR.
     executor = SupervisedExecutor(2, max_task_retries=1, **FAST)
     results = executor.map(_explode_on_three, list(range(5)))
@@ -314,6 +317,23 @@ def test_runner_classifies_quarantined_trials(tmp_path):
     healed = resumed.run(seeded_value, resume=True)
     assert healed.resumed == 3
     assert healed.completed == 4
+
+
+def test_plain_runner_raises_trial_error_for_a_quarantined_trial():
+    # A quarantined trial has no value to return, so TrialRunner must
+    # fail the sweep naming it, not hand back the placeholder.
+    runner = TrialRunner(trials=3, experiment="plainq",
+                         executor=SupervisedExecutor(2, max_task_retries=0,
+                                                     **FAST))
+    with pytest.raises(TrialError, match="trial 1 of 'plainq'") as caught:
+        runner.run(_explode_on_plainq_trial_one)
+    assert "boom" in str(caught.value)
+
+
+def _explode_on_plainq_trial_one(seed: int) -> float:
+    if seed == derive_seed("plainq", 1):
+        raise RuntimeError("boom")
+    return 1.0
 
 
 def test_runner_taxonomy_mapping_for_hang_and_error(tmp_path):

@@ -359,6 +359,20 @@ def test_fleet_runner_warm_cache_replays_byte_identically(tmp_path):
     assert warm_cache.stats.misses == 0
 
 
+def test_half_warm_cache_prints_the_cold_aggregate(tmp_path):
+    # Welford sums depend on fold order, so replayed and executed
+    # sessions must fold in one order: plain session index.  A half-warm
+    # cache is what rerunning an interrupted `--cache` run meets.
+    config = PopulationConfig(sessions=60, seed=5)
+    cache = TrialCache(tmp_path / "cache")
+    cold = FleetRunner(config, cache=cache).run().to_json()
+    for entry in list(cache.iter_entries())[::2]:
+        entry.unlink()
+    half = TrialCache(tmp_path / "cache")
+    assert FleetRunner(config, cache=half).run().to_json() == cold
+    assert half.stats.hits == 30 and half.stats.misses == 30
+
+
 def test_aggregate_state_is_independent_of_session_count():
     shapes = []
     for sessions in (8, 16):
