@@ -8,6 +8,13 @@ from repro.workloads import generate_corpus
 from repro.workloads.regexcorpus import RegexWorkloadFactory
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden", action="store_true", default=False,
+        help="rewrite tests/golden/digests.json from the current outputs "
+             "instead of checking against it")
+
+
 @pytest.fixture(scope="session")
 def regex_factory() -> RegexWorkloadFactory:
     return RegexWorkloadFactory()
