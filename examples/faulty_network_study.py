@@ -12,10 +12,13 @@ Run:  python examples/faulty_network_study.py
 """
 
 from repro.analysis import render_table
+from repro.core.session import simulate
 from repro.core.studies import FaultStudy, FaultStudyConfig
 from repro.device import NEXUS4
 from repro.faults import BurstLossSpec, FaultPlan, ThermalThrottleSpec
+from repro.sim import Environment
 from repro.video import VideoSpec
+from repro.web import BrowserEngine
 
 
 def main() -> None:
@@ -29,12 +32,16 @@ def main() -> None:
         ThermalThrottleSpec(schedule=((1.0, 0.5),)),
     ))
     print(f"Plan: {plan.describe()}")
-    plt = study.load_page_with_faults(NEXUS4, study.corpus[0], plan,
-                                      seed=1234, governor="OD")
+
+    def faulted_load(seed: int) -> float:
+        return simulate(Environment(), NEXUS4, config.link, seed,
+                        lambda env, device, link: BrowserEngine(
+                            env, device, link).load(study.corpus[0]),
+                        faults=plan, governor="OD").plt
+
+    plt = faulted_load(seed=1234)
     print(f"One faulted page load on Nexus4: PLT = {plt:.2f} s")
-    print("Same seed replays bit-identically:",
-          study.load_page_with_faults(NEXUS4, study.corpus[0], plan,
-                                      seed=1234, governor="OD") == plt)
+    print("Same seed replays bit-identically:", faulted_load(seed=1234) == plt)
 
     # -- 2. PLT vs burst loss ---------------------------------------------
     print("\nWeb PLT vs GE burst loss (3 Mbps congested link):\n")

@@ -96,12 +96,6 @@ def _canon(value: Any) -> Any:
             pairs.append([canon_key, canon_val])
         pairs.sort(key=lambda pair: _sort_key(pair[0]))
         return ["map", pairs]
-    params = getattr(value, "cache_params", None)
-    if callable(params) and not isinstance(value, type):
-        # Objects opt into caching by declaring which of their facets a
-        # trial result depends on (studies expose link/clip/... but not
-        # their executor or corpus factory internals).
-        return ["params", _qualname(type(value)), _canon(params())]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {}
         for spec in dataclasses.fields(value):

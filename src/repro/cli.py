@@ -163,10 +163,11 @@ def cmd_fig2(args) -> None:
     rtc_rows = {p.label: p for p in rtc.qoe_across_devices()}
     headers = ["device", "plt_s", "plt_std", "startup_s", "stall_ratio", "fps"]
     rows = [
-        [name, f"{web_rows[name].mean:.2f}", f"{web_rows[name].stdev:.2f}",
-         f"{video_rows[name].startup.mean:.2f}",
-         f"{video_rows[name].stall_ratio.mean:.3f}",
-         f"{rtc_rows[name].frame_rate.mean:.1f}"]
+        [name, web_rows[name].fmt_mean(".2f"),
+         web_rows[name].fmt_stdev(".2f"),
+         video_rows[name].startup.fmt_mean(".2f"),
+         video_rows[name].stall_ratio.fmt_mean(".3f"),
+         rtc_rows[name].frame_rate.fmt_mean(".1f")]
         for name in web_rows
     ]
     print(render_table(headers, rows))
@@ -182,8 +183,8 @@ def cmd_fig3a(args) -> None:
     points = study.plt_vs_clock(ladder=NEXUS4_LADDER)
     headers = ["clock_mhz", "plt_s", "plt_std", "cp_compute_s",
                "cp_network_s", "scripting_share"]
-    rows = [[p.clock_mhz, f"{p.plt.mean:.2f}", f"{p.plt.stdev:.2f}",
-             f"{p.compute_time.mean:.2f}", f"{p.network_time.mean:.2f}",
+    rows = [[p.clock_mhz, p.plt.fmt_mean(".2f"), p.plt.fmt_stdev(".2f"),
+             p.compute_time.fmt_mean(".2f"), p.network_time.fmt_mean(".2f"),
              f"{p.scripting_share:.3f}"] for p in points]
     print(render_table(headers, rows))
     _maybe_csv(args, "fig3a", headers, rows)
@@ -195,13 +196,13 @@ def cmd_fig3bcd(args) -> None:
     study = WebStudy(WebStudyConfig(n_pages=args.pages, trials=args.trials,
                                     executor=_executor(args)))
     print("Fig 3b (memory):")
-    mem_rows = [[gb, f"{s.mean:.2f}"] for gb, s in study.plt_vs_memory()]
+    mem_rows = [[gb, s.fmt_mean(".2f")] for gb, s in study.plt_vs_memory()]
     print(render_table(["memory_gb", "plt_s"], mem_rows))
     print("\nFig 3c (cores):")
-    core_rows = [[n, f"{s.mean:.2f}"] for n, s in study.plt_vs_cores()]
+    core_rows = [[n, s.fmt_mean(".2f")] for n, s in study.plt_vs_cores()]
     print(render_table(["cores", "plt_s"], core_rows))
     print("\nFig 3d (governors):")
-    gov_rows = [[g, f"{s.mean:.2f}"] for g, s in study.plt_vs_governor()]
+    gov_rows = [[g, s.fmt_mean(".2f")] for g, s in study.plt_vs_governor()]
     print(render_table(["governor", "plt_s"], gov_rows))
     _maybe_csv(args, "fig3b", ["memory_gb", "plt_s"], mem_rows)
     _maybe_csv(args, "fig3c", ["cores", "plt_s"], core_rows)
@@ -225,8 +226,8 @@ def cmd_fig4(args) -> None:
     headers = ["x", "startup_s", "stall_ratio"]
     for name, points in sweeps.items():
         print(f"\n{name}:")
-        rows = [[p.label, f"{p.startup.mean:.2f}",
-                 f"{p.stall_ratio.mean:.3f}"] for p in points]
+        rows = [[p.label, p.startup.fmt_mean(".2f"),
+                 p.stall_ratio.fmt_mean(".3f")] for p in points]
         print(render_table(headers, rows))
         _maybe_csv(args, name, headers, rows)
 
@@ -248,8 +249,8 @@ def cmd_fig5(args) -> None:
     headers = ["x", "setup_delay_s", "frame_rate_fps"]
     for name, points in sweeps.items():
         print(f"\n{name}:")
-        rows = [[p.label, f"{p.setup_delay.mean:.1f}",
-                 f"{p.frame_rate.mean:.1f}"] for p in points]
+        rows = [[p.label, p.setup_delay.fmt_mean(".1f"),
+                 p.frame_rate.fmt_mean(".1f")] for p in points]
         print(render_table(headers, rows))
         _maybe_csv(args, name, headers, rows)
 
@@ -272,8 +273,10 @@ def cmd_fig7(args) -> None:
     cmp = study.compare_default_governor()
     print("Fig 7a (default governor):")
     rows_a = [
-        ["CPU", f"{cmp.cpu_scripting.mean:.2f}", f"{cmp.cpu_eplt.mean:.2f}"],
-        ["DSP", f"{cmp.dsp_scripting.mean:.2f}", f"{cmp.dsp_eplt.mean:.2f}"],
+        ["CPU", cmp.cpu_scripting.fmt_mean(".2f"),
+         cmp.cpu_eplt.fmt_mean(".2f")],
+        ["DSP", cmp.dsp_scripting.fmt_mean(".2f"),
+         cmp.dsp_eplt.fmt_mean(".2f")],
     ]
     print(render_table(["executor", "scripting_s", "eplt_s"], rows_a))
     print(f"ePLT improvement: {cmp.eplt_improvement:.1%}")
@@ -282,8 +285,8 @@ def cmd_fig7(args) -> None:
           f"DSP {median(dsp_w):.2f} W "
           f"({median(cpu_w) / median(dsp_w):.1f}x)")
     print("\nFig 7c (pinned low clocks):")
-    rows_c = [[p.clock_mhz, f"{p.cpu_eplt.mean:.2f}",
-               f"{p.dsp_eplt.mean:.2f}", f"{p.improvement:.1%}"]
+    rows_c = [[p.clock_mhz, p.cpu_eplt.fmt_mean(".2f"),
+               p.dsp_eplt.fmt_mean(".2f"), f"{p.improvement:.1%}"]
               for p in study.eplt_vs_clock()]
     print(render_table(["clock_mhz", "cpu_eplt_s", "dsp_eplt_s", "win"],
                        rows_c))
@@ -301,7 +304,7 @@ def cmd_joint(args) -> None:
     print("Joint network x device grid:")
     headers = ["bandwidth_mbps", "clock_mhz", "plt_s", "bound"]
     rows = [
-        [p.bandwidth_mbps, p.clock_mhz, f"{p.plt.mean:.2f}",
+        [p.bandwidth_mbps, p.clock_mhz, p.plt.fmt_mean(".2f"),
          "device" if p.device_bound else "network"]
         for p in joint_network_device_grid(n_pages=args.pages,
                                            executor=executor)
@@ -311,8 +314,9 @@ def cmd_joint(args) -> None:
 
     print("\nTLS overhead vs clock:")
     tls_rows = [
-        [p.clock_mhz, f"{p.plt_tls.mean:.2f}", f"{p.plt_plain.mean:.2f}",
-         f"{p.tls_overhead_frac:.1%}"]
+        [p.clock_mhz, p.plt_tls.fmt_mean(".2f"), p.plt_plain.fmt_mean(".2f"),
+         f"{p.tls_overhead_frac:.1%}" if p.plt_tls.n and p.plt_plain.n
+         else "n/a"]
         for p in tls_overhead(n_pages=args.pages, executor=executor)
     ]
     print(render_table(["clock_mhz", "plt_tls_s", "plt_plain_s",
@@ -324,8 +328,9 @@ def cmd_joint(args) -> None:
     print("\nBrowser profiles vs clock:")
     table = browsers_vs_clock(n_pages=args.pages, executor=executor)
     browser_rows = [
-        [name, f"{cols[384].mean:.2f}", f"{cols[1512].mean:.2f}",
-         f"{cols[384].mean / cols[1512].mean:.2f}"]
+        [name, cols[384].fmt_mean(".2f"), cols[1512].fmt_mean(".2f"),
+         f"{cols[384].mean / cols[1512].mean:.2f}"
+         if cols[384].n and cols[1512].n else "n/a"]
         for name, cols in table.items()
     ]
     print(render_table(["browser", "plt@384", "plt@1512", "slowdown"],

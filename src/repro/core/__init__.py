@@ -9,12 +9,15 @@ Everything below maps one-to-one onto the paper's evaluation:
 * :mod:`repro.core.studies.offload` — Figs 7a–7c (DSP regex offload)
 * :mod:`repro.core.studies.history` — Fig 1 (2011–2018 evolution)
 
-:mod:`repro.core.experiments` provides the trial runners (seeded repeats →
-mean/std, the paper's 20-repetition methodology; `RobustTrialRunner` adds
-budgets, retries, and journal/resume for fault-injected studies),
-:mod:`repro.core.pipeline` the one dispatch loop they all fold over, and
-:mod:`repro.core.background` the background-load jitter that gives
-low-end devices their larger error bars.
+:mod:`repro.core.experiments` provides the trial runner
+(`RobustTrialRunner`: seeded repeats → mean/std, the paper's
+20-repetition methodology, with budgets, retries, and journal/resume),
+:mod:`repro.core.pipeline` the one dispatch loop every runner and sweep
+folds over, :mod:`repro.core.session` the one function that assembles a
+simulated session (device, background load, link, app) for every study,
+the fleet and the tracer, and :mod:`repro.core.background` the
+background-load jitter that gives low-end devices their larger error
+bars.
 """
 
 from repro.core.experiments import (
@@ -22,7 +25,6 @@ from repro.core.experiments import (
     RobustTrialRunner,
     TrialError,
     TrialRecord,
-    TrialRunner,
     derive_retry_seed,
     derive_seed,
 )
@@ -34,7 +36,6 @@ __all__ = [
     "RobustTrialRunner",
     "TrialError",
     "TrialRecord",
-    "TrialRunner",
     "derive_retry_seed",
     "derive_seed",
 ]

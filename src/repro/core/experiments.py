@@ -1,19 +1,19 @@
 """Trial running: the paper's repeat-20-times-report-mean/std methodology.
 
 A *trial function* builds a fresh simulation environment from a seed and
-returns one scalar or record.  :class:`TrialRunner` runs it across seeded
-trials and summarizes.  Determinism: trial ``i`` of experiment ``name``
-always uses the same derived seed, so every figure regenerates
+returns one scalar or record.  Determinism: trial ``i`` of experiment
+``name`` always uses the same derived seed, so every figure regenerates
 bit-identically.
 
-:class:`RobustTrialRunner` is the production-shaped execution layer: it
-survives individual trial failures (crash, deadlock, budget exhaustion)
-instead of losing a whole figure to one exception, retries with a derived
-reseed, journals completed trials to JSON for ``--resume``, and reports
-failure counts through :class:`~repro.analysis.stats.Summary` so figures
-render from the trials that succeeded.
+:class:`RobustTrialRunner` runs a trial function across seeded trials and
+summarizes.  It survives individual trial failures (crash, deadlock,
+budget exhaustion) instead of losing a whole figure to one exception,
+retries with a derived reseed, journals completed trials to JSON for
+``--resume``, and reports failure counts through
+:class:`~repro.analysis.stats.Summary` so figures render from the trials
+that succeeded.
 
-Both runners are folds over :func:`repro.core.pipeline.dispatch`, which
+The runner is a fold over :func:`repro.core.pipeline.dispatch`, which
 runs trials through a :class:`repro.parallel.Executor` (serial by
 default, a fault-tolerant :class:`~repro.parallel.SupervisedExecutor`
 for ``--jobs N``), replays cached trials, and yields results in trial
@@ -27,8 +27,7 @@ Error taxonomy: a robust run records every failure as a status
 (``crash`` / ``timeout`` / ``deadlock`` / ``error``, from
 :mod:`repro.core.pipeline` — e.g. a :class:`repro.sim.SimDeadlock` is
 ``"deadlock"``) and never raises for one.  :class:`TrialError` is raised
-only where no record can stand in: a plain :class:`TrialRunner` trial
-the supervisor quarantined, or an unusable journal.
+only where no record can stand in: an unusable journal.
 
 Seed-collision note: ``derive_seed`` hashes ``f"{experiment}:{trial}"``
 with CRC-32, keeping seeds 31-bit and stable.  CRC-32 over short distinct
@@ -49,7 +48,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Optional, Union
 
 from repro.analysis.stats import Summary, summarize
 from repro.cache import KIND_RECORD, Codec, TrialCache, TrialKeyer, resolve_cache
@@ -68,9 +67,6 @@ from repro.obs import MetricsRegistry, merge_snapshots
 from repro.obs.runlog import RUNLOG_VERSION, RunLog, snapshot_digest
 from repro.parallel import Executor, SerialExecutor, SupervisionReport
 from repro.sim import StepBudgetExceeded
-
-T = TypeVar("T")
-
 
 def derive_seed(experiment: str, trial: int) -> int:
     """Stable 32-bit seed for (experiment, trial)."""
@@ -100,61 +96,6 @@ class TrialError(Exception):
         self.trial = trial
         self.seed = seed
 
-
-class TrialRunner:
-    """Runs seeded repetitions of a trial function.
-
-    The paper repeats each workload 20 times; simulation trials converge
-    much faster, so the default is smaller — pass ``trials=20`` for
-    full-fidelity runs.
-    """
-
-    def __init__(self, trials: int = 5, experiment: str = "exp",
-                 executor: Optional[Executor] = None,
-                 runlog: Optional[RunLog] = None,
-                 cache: Optional[TrialCache] = None):
-        if trials < 1:
-            raise ValueError("need at least one trial")
-        self.trials = trials
-        self.experiment = experiment
-        self.executor = executor or SerialExecutor()
-        self.runlog = runlog
-        self.cache = cache
-
-    def run(self, trial_fn: Callable[[int], T]) -> list[T]:
-        """Execute all trials; returns their results in trial order.
-
-        A trial that raises propagates its exception (serial), and one
-        the supervisor quarantined raises :class:`TrialError` (pooled).
-        """
-        seeds = [derive_seed(self.experiment, index)
-                 for index in range(self.trials)]
-        runlog = resolve_runlog(self.runlog, self.executor)
-        keyer = TrialKeyer.create(resolve_cache(self.cache, self.executor),
-                                  trial_fn, experiment=self.experiment)
-        runlog.emit("run_start", experiment=self.experiment,
-                    trials=self.trials, pending=self.trials, resumed=0,
-                    runlog_version=RUNLOG_VERSION,
-                    config={"jobs": getattr(self.executor, "jobs", 1)})
-        results: list[T] = []
-        for index, result, _ in dispatch(self.executor, trial_fn, seeds,
-                                         keyer=keyer, runlog=runlog):
-            if isinstance(result, Failure):
-                raise TrialError(self.experiment, index, seeds[index],
-                                 result.error)
-            # One line per trial gives `--progress` a live done/total.
-            runlog.emit("trial_complete", trial=index, status=TRIAL_OK)
-            results.append(result)
-        runlog.emit("run_end", completed=self.trials, failures=0,
-                    quarantined=0)
-        return results
-
-    def summary(self, trial_fn: Callable[[int], float]) -> Summary:
-        """Run trials returning scalars and summarize them."""
-        return summarize(self.run(trial_fn))
-
-
-# -- robust execution ---------------------------------------------------------
 
 #: Journal schema version.  v2 added ``duration_wall_s``/``steps``/``metrics``;
 #: v3 dropped ``duration_wall_s`` from the *file* (host timing made journal
@@ -261,7 +202,11 @@ class RobustRunReport:
 
 
 class RobustTrialRunner:
-    """Fault-tolerant :class:`TrialRunner`: budgets, retries, journaling.
+    """Seeded repetitions of a trial function: budgets, retries, journaling.
+
+    The paper repeats each workload 20 times; simulation trials converge
+    much faster, so the default is smaller — pass ``trials=20`` for
+    full-fidelity runs.
 
     ``trial_fn`` receives the derived seed; if it accepts a second
     parameter it also receives ``step_budget`` to pass into
@@ -598,7 +543,6 @@ __all__ = [
     "RobustTrialRunner",
     "TrialError",
     "TrialRecord",
-    "TrialRunner",
     "TRIAL_CRASH",
     "TRIAL_DEADLOCK",
     "TRIAL_ERROR",

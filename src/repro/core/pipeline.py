@@ -4,8 +4,8 @@ The paper's method — repeat a workload N times, report mean ± std —
 reduces to one loop: apply a picklable task to a list of work items
 through an :class:`~repro.parallel.Executor`, replay whatever the trial
 cache can vouch for, and hand the results back in item order.
-:func:`dispatch` is that loop.  :class:`~repro.core.experiments.
-TrialRunner`, :class:`~repro.core.experiments.RobustTrialRunner`,
+:func:`dispatch` is that loop.
+:class:`~repro.core.experiments.RobustTrialRunner`,
 :class:`~repro.population.FleetRunner` and the study sweeps
 (:func:`cached_map`) are folds over what it yields.
 

@@ -1,0 +1,52 @@
+"""One simulated session: the paper's testbed, assembled in one place.
+
+§3 measures one phone on one fixed LAN running one app, and isolates a
+resource "by changing its value while keeping the remaining setup
+constant".  :func:`simulate` is that constant setup: a fresh
+:class:`~repro.device.Device`, seeded background OS load, one
+:class:`~repro.netstack.Link`, then the app's process — always built in
+this order, which is what keeps every study's output byte-identical.
+
+The app is a ``program(env, device, link)`` callable returning the
+generator to run, so this module names no app package: a trial's code
+fingerprint (see :mod:`repro.cache.fingerprint`) covers the web engine
+only if the trial itself imports it.  Fault plans are duck-typed for the
+same reason — anything with :meth:`repro.faults.FaultPlan.install`'s
+signature works.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Generator, Optional
+
+from repro.core.background import BackgroundLoad, make_rng
+from repro.device import Device, DeviceSpec
+from repro.netstack import Link, LinkSpec
+from repro.sim import Environment
+
+#: Builds the app on the session's device and link; returns its process.
+Program = Callable[[Environment, Device, Link], Generator]
+
+
+def simulate(env: Environment, spec: DeviceSpec, link_spec: LinkSpec,
+             seed: int, program: Program, *, faults: Any = None,
+             step_budget: Optional[int] = None, **device_kwargs) -> Any:
+    """Run ``program`` on a fresh device and link inside ``env``.
+
+    ``seed`` drives the background load and, when ``faults`` is given,
+    the fault plan's draws.  ``device_kwargs`` go to
+    :class:`~repro.device.Device` (governor, pinned clock, memory, online
+    cores).  Returns the program's result; ``step_budget`` bounds the
+    kernel steps as in :meth:`~repro.sim.Environment.run`.
+    """
+    device = Device(env, spec, **device_kwargs)
+    BackgroundLoad(env, device, make_rng(seed))
+    link = Link(env, link_spec)
+    process = env.process(program(env, device, link))
+    if faults is not None:
+        faults.install(env, rng=make_rng(seed), link=link, device=device,
+                       processes=[process])
+    return env.run(process, max_steps=step_budget)
+
+
+__all__ = ["Program", "simulate"]

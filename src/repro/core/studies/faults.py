@@ -28,14 +28,14 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary
 from repro.cache import TrialCache
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import RobustRunReport, RobustTrialRunner
-from repro.device import Device, DeviceSpec, NEXUS4
+from repro.core.session import simulate
+from repro.device import DeviceSpec, NEXUS4
 from repro.faults import BurstLossSpec, CrashSpec, FaultPlan, ThermalThrottleSpec
-from repro.netstack import Link, LinkSpec
+from repro.netstack import LinkSpec
 from repro.parallel import Executor
 from repro.sim import Environment
-from repro.video import StreamingPlayer, StreamingResult, VideoSpec
+from repro.video import StreamingPlayer, VideoSpec
 from repro.web import BrowserEngine
 from repro.workloads import generate_corpus
 from repro.workloads.pages import PageSpec
@@ -57,7 +57,6 @@ class FaultStudyConfig:
     clip: VideoSpec = field(default_factory=lambda: VideoSpec(duration_s=60.0))
     link: LinkSpec = field(
         default_factory=lambda: LinkSpec(goodput_bps=3e6, rtt_s=0.060))
-    background_jitter: bool = True
     #: Injected crash probability per trial (0 disables the crash injector).
     crash_probability: float = 0.0
     max_attempts: int = 2
@@ -90,58 +89,11 @@ class FaultStudy:
             self.config.n_pages, factory=RegexWorkloadFactory(),
         )
 
-    def cache_params(self) -> dict:
-        """Config facets a faulted trial depends on (cache key input).
-
-        ``n_pages`` stands in for the corpus (the generator is a pure
-        function of it); journal/executor/trial-count knobs shape the
-        run, not any single trial, so they stay out.  The runner's
-        retry/budget policy joins the key separately (see
-        ``RobustTrialRunner``).
-        """
-        return {"n_pages": self.config.n_pages, "clip": self.config.clip,
-                "link": self.config.link,
-                "background_jitter": self.config.background_jitter}
-
-    # -- one faulted session ----------------------------------------------
-
     def _crash_specs(self) -> tuple[CrashSpec, ...]:
         if self.config.crash_probability <= 0:
             return ()
         return (CrashSpec(probability=self.config.crash_probability,
                           window_s=(0.5, 8.0)),)
-
-    def load_page_with_faults(self, spec: DeviceSpec, page: PageSpec,
-                              plan: FaultPlan, seed: int,
-                              step_budget: Optional[int] = None,
-                              **device_kwargs) -> float:
-        """One faulted page load; returns the PLT in seconds."""
-        env = Environment()
-        rng = make_rng(seed)
-        device = Device(env, spec, **device_kwargs)
-        if self.config.background_jitter:
-            BackgroundLoad(env, device, make_rng(seed))
-        link = Link(env, self.config.link)
-        browser = BrowserEngine(env, device, link)
-        proc = env.process(browser.load(page))
-        plan.install(env, rng=rng, link=link, device=device, processes=[proc])
-        result = env.run(proc, max_steps=step_budget)
-        return result.plt
-
-    def stream_with_faults(self, spec: DeviceSpec, plan: FaultPlan, seed: int,
-                           step_budget: Optional[int] = None,
-                           **device_kwargs) -> StreamingResult:
-        """One faulted streaming session; returns the full result."""
-        env = Environment()
-        rng = make_rng(seed)
-        device = Device(env, spec, **device_kwargs)
-        if self.config.background_jitter:
-            BackgroundLoad(env, device, make_rng(seed))
-        link = Link(env, self.config.link)
-        player = StreamingPlayer(env, device, link, self.config.clip)
-        proc = env.process(player.run())
-        plan.install(env, rng=rng, link=link, device=device, processes=[proc])
-        return env.run(proc, max_steps=step_budget)
 
     # -- runner plumbing ---------------------------------------------------
 
@@ -161,7 +113,8 @@ class FaultStudy:
     def _web_point(self, experiment: str, label: str, plan: FaultPlan,
                    spec: DeviceSpec, resume: bool,
                    **device_kwargs) -> FaultSweepPoint:
-        trial_fn = _WebFaultTrial(study=self, spec=spec, plan=plan,
+        trial_fn = _WebFaultTrial(spec=spec, link=self.config.link,
+                                  pages=tuple(self.corpus), plan=plan,
                                   device_kwargs=device_kwargs)
         report = self._runner(experiment).run(trial_fn, resume=resume)
         return FaultSweepPoint(label=label, metric=report.summary(),
@@ -170,7 +123,8 @@ class FaultStudy:
     def _video_point(self, experiment: str, label: str, plan: FaultPlan,
                      spec: DeviceSpec, resume: bool, metric: str = "stall",
                      **device_kwargs) -> FaultSweepPoint:
-        trial_fn = _VideoFaultTrial(study=self, spec=spec, plan=plan,
+        trial_fn = _VideoFaultTrial(spec=spec, link=self.config.link,
+                                    clip=self.config.clip, plan=plan,
                                     metric=metric,
                                     device_kwargs=device_kwargs)
         report = self._runner(experiment).run(trial_fn, resume=resume)
@@ -289,17 +243,20 @@ class _WebFaultTrial:
     cross the process boundary, instances of this class can.
     """
 
-    study: FaultStudy
     spec: DeviceSpec
+    link: LinkSpec
+    pages: tuple[PageSpec, ...]
     plan: FaultPlan
     device_kwargs: dict
 
     def __call__(self, seed: int, step_budget: Optional[int]) -> float:
         plts = [
-            self.study.load_page_with_faults(self.spec, page, self.plan,
-                                             seed + i, step_budget,
-                                             **self.device_kwargs)
-            for i, page in enumerate(self.study.corpus)
+            simulate(Environment(), self.spec, self.link, seed + i,
+                     lambda env, device, link: BrowserEngine(
+                         env, device, link).load(page),
+                     faults=self.plan, step_budget=step_budget,
+                     **self.device_kwargs).plt
+            for i, page in enumerate(self.pages)
         ]
         return sum(plts) / len(plts)
 
@@ -308,16 +265,19 @@ class _WebFaultTrial:
 class _VideoFaultTrial:
     """Picklable robust-runner trial: one faulted streaming session."""
 
-    study: FaultStudy
     spec: DeviceSpec
+    link: LinkSpec
+    clip: VideoSpec
     plan: FaultPlan
     metric: str
     device_kwargs: dict
 
     def __call__(self, seed: int, step_budget: Optional[int]) -> float:
-        result = self.study.stream_with_faults(self.spec, self.plan, seed,
-                                               step_budget,
-                                               **self.device_kwargs)
+        result = simulate(Environment(), self.spec, self.link, seed,
+                          lambda env, device, link: StreamingPlayer(
+                              env, device, link, self.clip).run(),
+                          faults=self.plan, step_budget=step_budget,
+                          **self.device_kwargs)
         if self.metric == "startup":
             return result.startup_latency_s
         return result.stall_ratio

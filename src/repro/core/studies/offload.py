@@ -46,7 +46,6 @@ class OffloadStudyConfig:
     trials: int = 2
     device: DeviceSpec = PIXEL2
     link: LinkSpec = field(default_factory=LinkSpec)
-    background_jitter: bool = True
 
 
 @dataclass
@@ -110,8 +109,7 @@ class OffloadStudy:
         env = Environment()
         device = Device(env, self.config.device, governor="OD",
                         pinned_mhz=pinned_mhz)
-        if self.config.background_jitter:
-            BackgroundLoad(env, device, make_rng(seed))
+        BackgroundLoad(env, device, make_rng(seed))
         link = Link(env, self.config.link)
         channel: Optional[FastRpcChannel] = None
         if offload:

@@ -7,11 +7,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.cache import TrialCache
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
 from repro.core.pipeline import cached_map
-from repro.device import Device, DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
-from repro.netstack import Link, LinkSpec
+from repro.core.session import simulate
+from repro.device import DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
+from repro.netstack import LinkSpec
 from repro.parallel import Executor, SerialExecutor
 from repro.rtc import CallConfig, CallResult, VideoCall
 from repro.sim import Environment
@@ -24,7 +24,6 @@ class RtcStudyConfig:
     call: CallConfig = field(default_factory=lambda: CallConfig(call_duration_s=20.0))
     trials: int = 3
     link: LinkSpec = field(default_factory=LinkSpec)
-    background_jitter: bool = True
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
     #: Content-addressed result cache; None checks the executor for an
@@ -48,22 +47,6 @@ class RtcStudy:
         self.config = config or RtcStudyConfig()
         self.executor = self.config.executor or SerialExecutor()
 
-    def cache_params(self) -> dict:
-        """Config facets a call result depends on (cache key input)."""
-        return {"call": self.config.call, "link": self.config.link,
-                "background_jitter": self.config.background_jitter}
-
-    def call_once(self, spec: DeviceSpec, seed: int,
-                  **device_kwargs) -> CallResult:
-        """One call on a fresh device."""
-        env = Environment()
-        device = Device(env, spec, **device_kwargs)
-        if self.config.background_jitter:
-            BackgroundLoad(env, device, make_rng(seed))
-        call = VideoCall(env, device, Link(env, self.config.link),
-                         self.config.call)
-        return env.run(env.process(call.run()))
-
     def _point(self, spec: DeviceSpec, label: object, experiment: str,
                **device_kwargs) -> CallPoint:
         seeds = [derive_seed(experiment, t)
@@ -72,7 +55,8 @@ class RtcStudy:
         # than failing the sweep — same degradation as sim-level faults.
         results = cached_map(
             self.executor,
-            _CallTask(study=self, spec=spec, device_kwargs=device_kwargs),
+            _CallTask(spec=spec, link=self.config.link,
+                      call=self.config.call, device_kwargs=device_kwargs),
             seeds, experiment=experiment, cache=self.config.cache,
         )
         return CallPoint(
@@ -130,12 +114,16 @@ class RtcStudy:
 class _CallTask:
     """Picklable per-trial task: one full call session."""
 
-    study: RtcStudy
     spec: DeviceSpec
+    link: LinkSpec
+    call: CallConfig
     device_kwargs: dict
 
     def __call__(self, seed: int) -> CallResult:
-        return self.study.call_once(self.spec, seed, **self.device_kwargs)
+        return simulate(Environment(), self.spec, self.link, seed,
+                        lambda env, device, link: VideoCall(
+                            env, device, link, self.call).run(),
+                        **self.device_kwargs)
 
 
 __all__ = ["CallPoint", "RtcStudy", "RtcStudyConfig"]

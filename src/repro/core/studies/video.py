@@ -7,11 +7,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.cache import TrialCache
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
 from repro.core.pipeline import cached_map
-from repro.device import Device, DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
-from repro.netstack import Link, LinkSpec
+from repro.core.session import simulate
+from repro.device import DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
+from repro.netstack import LinkSpec
 from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
 from repro.video import StreamingPlayer, StreamingResult, VideoSpec
@@ -24,7 +24,6 @@ class VideoStudyConfig:
     clip: VideoSpec = field(default_factory=lambda: VideoSpec(duration_s=120.0))
     trials: int = 3
     link: LinkSpec = field(default_factory=LinkSpec)
-    background_jitter: bool = True
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
     #: Content-addressed result cache; None checks the executor for an
@@ -48,22 +47,6 @@ class VideoStudy:
         self.config = config or VideoStudyConfig()
         self.executor = self.config.executor or SerialExecutor()
 
-    def cache_params(self) -> dict:
-        """Config facets a streaming result depends on (cache key input)."""
-        return {"clip": self.config.clip, "link": self.config.link,
-                "background_jitter": self.config.background_jitter}
-
-    def stream_once(self, spec: DeviceSpec, seed: int,
-                    **device_kwargs) -> StreamingResult:
-        """One full streaming session on a fresh device."""
-        env = Environment()
-        device = Device(env, spec, **device_kwargs)
-        if self.config.background_jitter:
-            BackgroundLoad(env, device, make_rng(seed))
-        player = StreamingPlayer(env, device, Link(env, self.config.link),
-                                 self.config.clip)
-        return env.run(env.process(player.run()))
-
     def _point(self, spec: DeviceSpec, label: object, experiment: str,
                **device_kwargs) -> StreamingPoint:
         seeds = [derive_seed(experiment, t)
@@ -72,7 +55,8 @@ class VideoStudy:
         # than failing the sweep — same degradation as sim-level faults.
         results = cached_map(
             self.executor,
-            _StreamTask(study=self, spec=spec, device_kwargs=device_kwargs),
+            _StreamTask(spec=spec, link=self.config.link,
+                        clip=self.config.clip, device_kwargs=device_kwargs),
             seeds, experiment=experiment, cache=self.config.cache,
         )
         return StreamingPoint(
@@ -130,12 +114,16 @@ class VideoStudy:
 class _StreamTask:
     """Picklable per-trial task: one full streaming session."""
 
-    study: VideoStudy
     spec: DeviceSpec
+    link: LinkSpec
+    clip: VideoSpec
     device_kwargs: dict
 
     def __call__(self, seed: int) -> StreamingResult:
-        return self.study.stream_once(self.spec, seed, **self.device_kwargs)
+        return simulate(Environment(), self.spec, self.link, seed,
+                        lambda env, device, link: StreamingPlayer(
+                            env, device, link, self.clip).run(),
+                        **self.device_kwargs)
 
 
 __all__ = ["StreamingPoint", "VideoStudy", "VideoStudyConfig"]

@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.cache import TrialCache
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
 from repro.core.pipeline import cached_map
-from repro.device import Device, DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
-from repro.netstack import Link, LinkSpec
+from repro.core.session import simulate
+from repro.device import DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
+from repro.netstack import LinkSpec
 from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
 from repro.web import BrowserEngine, PageLoadResult
@@ -39,7 +39,6 @@ class WebStudyConfig:
     trials: int = 3
     categories: Sequence[str] = CATEGORIES
     link: LinkSpec = field(default_factory=LinkSpec)
-    background_jitter: bool = True
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
     #: Content-addressed result cache; None checks the executor for an
@@ -71,34 +70,14 @@ class WebStudy:
             factory=self._factory,
         )
 
-    def cache_params(self) -> dict:
-        """Config facets a page-load result depends on (cache key input).
-
-        The executor and scale knobs stay out: the pages themselves
-        travel in the task, and how trials are dispatched can never
-        change what one trial computes.
-        """
-        return {"link": self.config.link,
-                "background_jitter": self.config.background_jitter}
-
-    # -- one load ---------------------------------------------------------
-
-    def load_page(self, spec: DeviceSpec, page: PageSpec, seed: int,
-                  **device_kwargs) -> PageLoadResult:
-        """Load one page on a fresh simulated device; returns the result."""
-        env = Environment()
-        device = Device(env, spec, **device_kwargs)
-        if self.config.background_jitter:
-            BackgroundLoad(env, device, make_rng(seed))
-        browser = BrowserEngine(env, device, Link(env, self.config.link))
-        return env.run(env.process(browser.load(page)))
-
     def _results(self, spec: DeviceSpec, experiment: str,
                  pages: Optional[Sequence[PageSpec]] = None,
                  **device_kwargs) -> list[PageLoadResult]:
-        task = _PageLoadTask(study=self, spec=spec,
-                             pages=tuple(pages or self.corpus),
-                             device_kwargs=device_kwargs)
+        # None means the whole corpus; an empty selection stays empty.
+        task = _PageLoadTask(
+            spec=spec, link=self.config.link,
+            pages=tuple(self.corpus if pages is None else pages),
+            device_kwargs=device_kwargs)
         seeds = [derive_seed(experiment, trial)
                  for trial in range(self.config.trials)]
         # cached_map() returns trial-order results whatever the completion
@@ -216,42 +195,28 @@ class WebStudy:
                                     pinned_mhz=high_mhz)
             slow = self.plt_summary(spec, f"cat:{category}:lo", pages,
                                     pinned_mhz=low_mhz)
-            sensitivity[category] = slow.mean / fast.mean
+            # Every trial of a side can be quarantined under host faults:
+            # with no sample there is no ratio, so the category is omitted.
+            if fast.n and slow.n:
+                sensitivity[category] = slow.mean / fast.mean
         return sensitivity
-
-    def category_plt_deltas(
-        self, spec: DeviceSpec = NEXUS4,
-        high_mhz: Optional[int] = None, low_mhz: Optional[int] = None,
-    ) -> dict[str, float]:
-        """Absolute PLT penalty (seconds added by the slow clock) per
-        category — the script-heavy categories pay severalfold more."""
-        high_mhz = high_mhz or spec.max_clock_mhz
-        low_mhz = low_mhz or spec.min_clock_mhz
-        deltas: dict[str, float] = {}
-        for category in self.config.categories:
-            pages = [p for p in self.corpus if p.category == category]
-            if not pages:
-                continue
-            fast = self.plt_summary(spec, f"catd:{category}:hi", pages,
-                                    pinned_mhz=high_mhz)
-            slow = self.plt_summary(spec, f"catd:{category}:lo", pages,
-                                    pinned_mhz=low_mhz)
-            deltas[category] = slow.mean - fast.mean
-        return deltas
 
 
 @dataclass
 class _PageLoadTask:
     """Picklable per-trial task: load every page of a corpus slice once."""
 
-    study: WebStudy
     spec: DeviceSpec
+    link: LinkSpec
     pages: tuple[PageSpec, ...]
     device_kwargs: dict
 
     def __call__(self, seed: int) -> list[PageLoadResult]:
         return [
-            self.study.load_page(self.spec, page, seed, **self.device_kwargs)
+            simulate(Environment(), self.spec, self.link, seed,
+                     lambda env, device, link: BrowserEngine(
+                         env, device, link).load(page),
+                     **self.device_kwargs)
             for page in self.pages
         ]
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
+from repro.core.session import simulate
 from repro.device import NEXUS4, Device
 from repro.faults import BurstLossSpec, FaultPlan, ThermalThrottleSpec
 from repro.netstack import HostStack, Link, LinkSpec, TcpConnection
@@ -57,48 +57,48 @@ class TracedTrial:
     metrics: MetricsRegistry
 
 
-def _web_load(env: Environment, seed: int, *,
-              pinned_mhz: Optional[float] = None,
+def _web_load(env: Environment, seed: int, experiment: str, *,
               plan: Optional[FaultPlan] = None,
-              experiment: str = "trace.web") -> Tuple[str, float]:
+              **device_kwargs) -> Tuple[str, float]:
     """Shared fig2a-shaped page load: NEXUS4, ondemand, background jitter."""
-    kwargs = {} if pinned_mhz is None else {"pinned_mhz": pinned_mhz}
-    device = Device(env, NEXUS4, governor="OD", **kwargs)
-    BackgroundLoad(env, device, make_rng(derive_seed(experiment, seed)))
-    link = Link(env, LinkSpec())
-    if plan is not None:
-        plan.install(env, rng=make_rng(derive_seed(f"{experiment}#faults", seed)),
-                     link=link, device=device)
-    browser = BrowserEngine(env, device, link)
     page = generate_corpus(1)[0]
-    result = env.run(env.process(browser.load(page)))
+    result = simulate(env, NEXUS4, LinkSpec(), derive_seed(experiment, seed),
+                      lambda env, device, link: BrowserEngine(
+                          env, device, link).load(page),
+                      faults=plan, governor="OD", **device_kwargs)
     return "plt_s", result.plt
 
 
 def _fig2a(env: Environment, seed: int) -> Tuple[str, float]:
     """Fig 2a: one corpus page on the Nexus 4 at the default governor."""
-    return _web_load(env, seed, experiment="trace.fig2a")
+    return _web_load(env, seed, "trace.fig2a")
 
 
 def _fig3a_low(env: Environment, seed: int) -> Tuple[str, float]:
     """Fig 3a, lowest x-position: the same load with the clock pinned low."""
-    return _web_load(env, seed, pinned_mhz=384, experiment="trace.fig3a-low")
+    return _web_load(env, seed, "trace.fig3a-low", pinned_mhz=384)
 
 
 def _faults_web(env: Environment, seed: int) -> Tuple[str, float]:
-    """The fig2a load under burst loss + thermal throttling."""
+    """The fig2a load under burst loss + thermal throttling.
+
+    Faults draw from the session seed and install after the load's
+    process, the same wiring :class:`~repro.core.studies.FaultStudy`
+    trials use.
+    """
     plan = FaultPlan([BurstLossSpec(p_bad=0.2, mean_bad_s=0.5),
                       ThermalThrottleSpec()])
-    return _web_load(env, seed, plan=plan, experiment="trace.faults-web")
+    return _web_load(env, seed, "trace.faults-web", plan=plan)
 
 
 def _fig4a(env: Environment, seed: int) -> Tuple[str, float]:
     """Fig 4a: a short streaming session on the Nexus 4."""
-    device = Device(env, NEXUS4, governor="OD")
-    BackgroundLoad(env, device, make_rng(derive_seed("trace.fig4a", seed)))
-    player = StreamingPlayer(env, device, Link(env, LinkSpec()),
-                             video=VideoSpec(duration_s=30.0))
-    result = env.run(env.process(player.run()))
+    clip = VideoSpec(duration_s=30.0)
+    result = simulate(env, NEXUS4, LinkSpec(),
+                      derive_seed("trace.fig4a", seed),
+                      lambda env, device, link: StreamingPlayer(
+                          env, device, link, clip).run(),
+                      governor="OD")
     return "stall_ratio", result.stall_ratio
 
 

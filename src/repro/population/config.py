@@ -55,7 +55,6 @@ class PopulationConfig:
     n_pages: int = 6
     video_s: float = 20.0
     call_s: float = 10.0
-    background_jitter: bool = True
 
     def __post_init__(self) -> None:
         if self.sessions < 1:

@@ -31,7 +31,6 @@ from repro.cache import (
     encode_result,
     resolve_cache,
 )
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.pipeline import (
     TRIAL_OK,
     Failure,
@@ -39,8 +38,7 @@ from repro.core.pipeline import (
     dispatch,
     resolve_runlog,
 )
-from repro.device import Device
-from repro.netstack import Link
+from repro.core.session import Program, simulate
 from repro.obs.export import histogram_quantile
 from repro.obs.runlog import RUNLOG_VERSION, RunLog
 from repro.parallel import Executor, SerialExecutor, SupervisionReport
@@ -75,39 +73,35 @@ class SessionResult:
         return self.status == TRIAL_OK
 
 
-def _simulate(config: PopulationConfig, corpus: Tuple[PageSpec, ...],
-              spec: SessionSpec) -> Dict[str, float]:
-    """Run one session on a fresh simulated device; returns its QoE metrics."""
-    env = Environment()
-    device = Device(env, spec.device, governor="OD")
-    if config.background_jitter:
-        BackgroundLoad(env, device, make_rng(spec.seed))
-    link = Link(env, spec.link)
-    if spec.workload == "web":
-        browser = BrowserEngine(env, device, link)
-        result = env.run(env.process(browser.load(corpus[spec.page_index])))
-        return {"plt_s": result.plt}
-    if spec.workload == "video":
-        player = StreamingPlayer(env, device, link,
-                                 VideoSpec(duration_s=config.video_s))
-        stream = env.run(env.process(player.run()))
-        return {"startup_s": stream.startup_latency_s,
-                "stall_ratio": stream.stall_ratio}
-    call = VideoCall(env, device, link,
-                     CallConfig(call_duration_s=config.call_s))
-    outcome = env.run(env.process(call.run()))
-    return {"setup_delay_s": outcome.setup_delay_s,
-            "frame_rate_fps": outcome.frame_rate}
-
-
 def run_session(config: PopulationConfig, corpus: Tuple[PageSpec, ...],
                 spec: SessionSpec) -> SessionResult:
     """One session under the trial failure taxonomy — never raises."""
+
+    def run(program: Program):
+        return simulate(Environment(), spec.device, spec.link, spec.seed,
+                        program, governor="OD")
+
     status = TRIAL_OK
     metrics: Dict[str, float] = {}
     error = ""
     try:
-        metrics = _simulate(config, corpus, spec)
+        if spec.workload == "web":
+            page = corpus[spec.page_index]
+            load = run(lambda env, device, link: BrowserEngine(
+                env, device, link).load(page))
+            metrics = {"plt_s": load.plt}
+        elif spec.workload == "video":
+            clip = VideoSpec(duration_s=config.video_s)
+            stream = run(lambda env, device, link: StreamingPlayer(
+                env, device, link, clip).run())
+            metrics = {"startup_s": stream.startup_latency_s,
+                       "stall_ratio": stream.stall_ratio}
+        else:
+            call = CallConfig(call_duration_s=config.call_s)
+            outcome = run(lambda env, device, link: VideoCall(
+                env, device, link, call).run())
+            metrics = {"setup_delay_s": outcome.setup_delay_s,
+                       "frame_rate_fps": outcome.frame_rate}
     except Exception as exc:  # noqa: BLE001 - taxonomy boundary
         status, error = classify(exc)
     return SessionResult(index=spec.index, tier=spec.tier,
@@ -119,19 +113,17 @@ def run_session(config: PopulationConfig, corpus: Tuple[PageSpec, ...],
 class _SessionTask:
     """Picklable unit of work: sample session ``index`` and simulate it.
 
-    Carries the runner whole, like :class:`~repro.core.experiments.
-    _TrialTask`: pickling it ships only configuration and the page
-    corpus (the runlog reduces to the null object, executors carry no
-    live pool state), and the worker re-derives everything else from
-    the session index.
+    Its two fields are everything a session result depends on, so they
+    are also its cache-key parameters; the worker re-derives the rest
+    from the session index.
     """
 
-    runner: "FleetRunner"
+    config: PopulationConfig
+    corpus: Tuple[PageSpec, ...]
 
     def __call__(self, index: int) -> SessionResult:
-        runner = self.runner
-        spec = SessionSampler(runner.config).sample(index)
-        return run_session(runner.config, runner.corpus, spec)
+        spec = SessionSampler(self.config).sample(index)
+        return run_session(self.config, self.corpus, spec)
 
 
 def _decode_session(payload: str, index: int) -> SessionResult:
@@ -251,20 +243,12 @@ class FleetRunner:
         self.corpus: Tuple[PageSpec, ...] = tuple(generate_corpus(
             config.n_pages, factory=RegexWorkloadFactory()))
 
-    def cache_params(self) -> dict:
-        """The facets a session result depends on (the cache-key protocol).
-
-        The executor, runlog, and cache are infrastructure — which of
-        them ran a session must never change its key.
-        """
-        return {"config": self.config, "corpus": self.corpus}
-
     def run(self) -> FleetReport:
         """Execute every session; returns the streamed aggregate."""
         config = self.config
         runlog = resolve_runlog(self.runlog, self.executor)
         sampler = SessionSampler(config)
-        task = _SessionTask(runner=self)
+        task = _SessionTask(config, self.corpus)
         aggregator = FleetAggregator()
         quarantined = 0
         keyer = TrialKeyer.create(

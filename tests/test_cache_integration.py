@@ -14,7 +14,7 @@ import json
 
 from repro.cache import TrialCache
 from repro.cli import main
-from repro.core.experiments import RobustTrialRunner, TrialRunner, derive_seed
+from repro.core.experiments import RobustTrialRunner, derive_seed
 from repro.obs.runlog import RunLog, deterministic_bytes, read_runlog
 
 
@@ -99,12 +99,12 @@ def test_failed_trials_are_never_cached(tmp_path):
 
 def test_trial_runner_uses_the_cache_for_plain_sweeps(tmp_path):
     cache = TrialCache(tmp_path / "cache")
-    cold = TrialRunner(trials=3, experiment="exp", cache=cache).run(
-        seeded_trial)
+    cold = RobustTrialRunner(trials=3, experiment="exp", cache=cache).run(
+        seeded_trial).values
     assert cache.stats.stores == 3
     warm_cache = TrialCache(tmp_path / "cache")
-    warm = TrialRunner(trials=3, experiment="exp", cache=warm_cache).run(
-        seeded_trial)
+    warm = RobustTrialRunner(trials=3, experiment="exp",
+                             cache=warm_cache).run(seeded_trial).values
     assert warm == cold
     assert warm_cache.stats.hit_ratio == 1.0
 
@@ -113,8 +113,10 @@ def test_trial_index_and_seed_both_guard_the_key(tmp_path):
     # Two experiments share trial indices but derive different seeds;
     # their entries must not collide.
     cache = TrialCache(tmp_path / "cache")
-    a = TrialRunner(trials=2, experiment="a", cache=cache).run(seeded_trial)
-    b = TrialRunner(trials=2, experiment="b", cache=cache).run(seeded_trial)
+    a = RobustTrialRunner(trials=2, experiment="a",
+                          cache=cache).run(seeded_trial).values
+    b = RobustTrialRunner(trials=2, experiment="b",
+                          cache=cache).run(seeded_trial).values
     assert cache.stats.hits == 0 and cache.stats.misses == 4
     assert a == [seeded_trial(derive_seed("a", t)) for t in range(2)]
     assert b == [seeded_trial(derive_seed("b", t)) for t in range(2)]

@@ -147,7 +147,8 @@ def _tiny_study(tmp_path) -> FaultStudy:
     ))
 
 
-def test_interrupted_then_resume_reexecutes_only_missing(tmp_path):
+def test_interrupted_then_resume_reexecutes_only_missing(tmp_path,
+                                                        monkeypatch):
     study = _tiny_study(tmp_path)
     first = study.plt_vs_burst_loss(p_bads=(0.3,))
     (journal,) = tmp_path.glob("*.json")
@@ -161,15 +162,17 @@ def test_interrupted_then_resume_reexecutes_only_missing(tmp_path):
     payload["records"] = payload["records"][:1]
     journal.write_text(json.dumps(payload))
 
+    import repro.core.studies.faults as faults_study
+
     resumed_study = _tiny_study(tmp_path)
     loads = []
-    original = resumed_study.load_page_with_faults
+    original = faults_study.simulate
 
     def counting(*args, **kwargs):
         loads.append(args)
         return original(*args, **kwargs)
 
-    resumed_study.load_page_with_faults = counting
+    monkeypatch.setattr(faults_study, "simulate", counting)
     second = resumed_study.plt_vs_burst_loss(p_bads=(0.3,), resume=True)
     assert len(loads) == 1            # one page x the single missing trial
     assert second[0].report.resumed == 1

@@ -14,33 +14,37 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.studies import (
-    RtcStudy,
-    RtcStudyConfig,
-    WebStudy,
-    WebStudyConfig,
-)
+from repro.core.session import simulate
 from repro.device import NEXUS4
-from repro.rtc import CallConfig
+from repro.netstack import LinkSpec
+from repro.rtc import CallConfig, VideoCall
+from repro.sim import Environment
+from repro.web import BrowserEngine
+from repro.workloads import generate_corpus
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
-# Shared across examples: corpus generation is the expensive part, and each
-# load_page/call_once builds a fresh Environment, so reuse is sound.
-_WEB = WebStudy(WebStudyConfig(n_pages=1, trials=1))
-_RTC = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=5.0),
-                               trials=1))
+# Shared across examples: corpus generation is the expensive part, and
+# each simulate() call builds its session in a fresh Environment.
+_PAGE = generate_corpus(1)[0]
+_CALL = CallConfig(call_duration_s=5.0)
 
 
 def web_metrics(seed: int) -> dict:
-    result = _WEB.load_page(NEXUS4, _WEB.corpus[0], seed, governor="OD")
+    result = simulate(Environment(), NEXUS4, LinkSpec(), seed,
+                      lambda env, device, link: BrowserEngine(
+                          env, device, link).load(_PAGE),
+                      governor="OD")
     metrics = dataclasses.asdict(result)
     metrics.pop("activities")  # event records, not scalar metrics
     return metrics
 
 
 def rtc_metrics(seed: int) -> dict:
-    result = _RTC.call_once(NEXUS4, seed, governor="OD")
+    result = simulate(Environment(), NEXUS4, LinkSpec(), seed,
+                      lambda env, device, link: VideoCall(
+                          env, device, link, _CALL).run(),
+                      governor="OD")
     return dataclasses.asdict(result)
 
 

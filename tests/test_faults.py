@@ -250,14 +250,19 @@ def test_trace_jsonl_is_canonical():
 
 
 def test_faulted_page_load_qoe_is_deterministic():
-    from repro.core.studies import FaultStudy, FaultStudyConfig
+    from repro.core.session import simulate
+    from repro.web import BrowserEngine
+    from repro.workloads import generate_corpus
 
-    study = FaultStudy(FaultStudyConfig(n_pages=1, trials=1))
     plan = FaultPlan((BurstLossSpec(p_bad=0.4, mean_good_s=1.0,
                                     mean_bad_s=1.0),))
-    page = study.corpus[0]
-    first = study.load_page_with_faults(NEXUS4, page, plan, 1234,
-                                        governor="OD")
-    second = study.load_page_with_faults(NEXUS4, page, plan, 1234,
-                                         governor="OD")
-    assert first == second
+    page = generate_corpus(1)[0]
+
+    def load() -> float:
+        return simulate(Environment(), NEXUS4,
+                        LinkSpec(goodput_bps=3e6, rtt_s=0.060), 1234,
+                        lambda env, device, link: BrowserEngine(
+                            env, device, link).load(page),
+                        faults=plan, governor="OD").plt
+
+    assert load() == load()

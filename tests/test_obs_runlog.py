@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.background import make_rng
-from repro.core.experiments import RobustTrialRunner, TrialRunner
+from repro.core.experiments import RobustTrialRunner
 from repro.obs.runlog import (
     HOST_EVENTS,
     NULL_RUNLOG,
@@ -232,19 +232,6 @@ def test_runlog_resolves_from_executor_attachment(tmp_path):
     events = read_runlog(tmp_path / "run.jsonl")
     assert [e["event"] for e in events][:2] == ["run_start",
                                                 "trial_complete"]
-
-
-def test_plain_trial_runner_emits_when_runlog_attached(tmp_path):
-    runlog = RunLog(tmp_path / "run.jsonl")
-    runner = TrialRunner(trials=3, experiment="plain", runlog=runlog)
-    values = runner.run(seeded_trial)
-    runlog.close()
-    assert len(values) == 3
-    events = read_runlog(tmp_path / "run.jsonl")
-    assert [e["event"] for e in events] == [
-        "run_start", "trial_complete", "trial_complete", "trial_complete",
-        "run_end"]
-    assert events[0]["experiment"] == "plain"
 
 
 # -- supervisor emission ----------------------------------------------------

@@ -29,9 +29,6 @@ from repro.core.experiments import (
     TRIAL_CRASH,
     TRIAL_ERROR,
     TRIAL_TIMEOUT,
-    TrialError,
-    TrialRunner,
-    derive_seed,
 )
 from repro.parallel import (
     QuarantinedTask,
@@ -317,23 +314,6 @@ def test_runner_classifies_quarantined_trials(tmp_path):
     healed = resumed.run(seeded_value, resume=True)
     assert healed.resumed == 3
     assert healed.completed == 4
-
-
-def test_plain_runner_raises_trial_error_for_a_quarantined_trial():
-    # A quarantined trial has no value to return, so TrialRunner must
-    # fail the sweep naming it, not hand back the placeholder.
-    runner = TrialRunner(trials=3, experiment="plainq",
-                         executor=SupervisedExecutor(2, max_task_retries=0,
-                                                     **FAST))
-    with pytest.raises(TrialError, match="trial 1 of 'plainq'") as caught:
-        runner.run(_explode_on_plainq_trial_one)
-    assert "boom" in str(caught.value)
-
-
-def _explode_on_plainq_trial_one(seed: int) -> float:
-    if seed == derive_seed("plainq", 1):
-        raise RuntimeError("boom")
-    return 1.0
 
 
 def test_runner_taxonomy_mapping_for_hang_and_error(tmp_path):
