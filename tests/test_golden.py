@@ -30,6 +30,7 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 #: Figure commands pinned by their stdout (small, fixed scale).
 CLI_CASES = {
+    "fig1": ["fig1", "--pages", "4"],
     "fig2": ["fig2", "--trials", "1", "--pages", "1", "--media-s", "10"],
     "fig3a": ["fig3a", "--trials", "1", "--pages", "1"],
     "fig3bcd": ["fig3bcd", "--trials", "1", "--pages", "1"],
@@ -41,7 +42,7 @@ CLI_CASES = {
     "faults": ["faults", "--trials", "1", "--pages", "2", "--media-s", "10"],
 }
 
-TRACE_CASES = ("fig2a", "fig3a-low", "fig4a", "faults-web")
+TRACE_CASES = ("fig2a", "fig3a-low", "fig4a", "fig6", "faults-web")
 
 
 def _sha256(text: str) -> str:
