@@ -5,17 +5,27 @@ link-limited at every clock — demonstrating that the paper's §4.1 effect
 comes entirely from host-side processing, not the radio.
 """
 
+from functools import partial
+
 from repro.analysis import render_table
+from repro.core.session import simulate
 from repro.device import NEXUS4
-from repro.netstack import PacketCostModel, run_iperf
+from repro.netstack import LinkSpec, PacketCostModel, iperf_downstream
+from repro.sim import Environment
+
+
+def _iperf(mhz, cost=PacketCostModel()):
+    return simulate(Environment(), NEXUS4, LinkSpec(), None,
+                    partial(iperf_downstream, duration_s=6.0, cost=cost),
+                    governor="PF", pinned_mhz=mhz)
 
 
 def run_ablation():
     rows = []
     free = PacketCostModel(rx_ops_per_pkt=0.0, tx_ops_per_pkt=0.0)
     for mhz in (384, 594, 1512):
-        with_cpu = run_iperf(NEXUS4, clock_mhz=mhz, duration_s=6.0)
-        without = run_iperf(NEXUS4, clock_mhz=mhz, duration_s=6.0, cost=free)
+        with_cpu = _iperf(mhz)
+        without = _iperf(mhz, cost=free)
         rows.append((mhz, with_cpu.throughput_mbps, without.throughput_mbps))
     return rows
 

@@ -6,6 +6,8 @@ constant".  :func:`simulate` is that constant setup: a fresh
 :class:`~repro.device.Device`, seeded background OS load, one
 :class:`~repro.netstack.Link`, then the app's process — always built in
 this order, which is what keeps every study's output byte-identical.
+It is the only place a session's device, background load and link are
+built.
 
 The app is a ``program(env, device, link)`` callable returning the
 generator to run, so this module names no app package: a trial's code
@@ -29,18 +31,23 @@ Program = Callable[[Environment, Device, Link], Generator]
 
 
 def simulate(env: Environment, spec: DeviceSpec, link_spec: LinkSpec,
-             seed: int, program: Program, *, faults: Any = None,
+             seed: Optional[int], program: Program, *, faults: Any = None,
              step_budget: Optional[int] = None, **device_kwargs) -> Any:
     """Run ``program`` on a fresh device and link inside ``env``.
 
     ``seed`` drives the background load and, when ``faults`` is given,
-    the fault plan's draws.  ``device_kwargs`` go to
-    :class:`~repro.device.Device` (governor, pinned clock, memory, online
-    cores).  Returns the program's result; ``step_budget`` bounds the
-    kernel steps as in :meth:`~repro.sim.Environment.run`.
+    the fault plan's draws.  ``seed=None`` is an unseeded session: a
+    quiet device with no background load, which cannot take a fault
+    plan.  ``device_kwargs`` go to :class:`~repro.device.Device`
+    (governor, pinned clock, memory, online cores).  Returns the
+    program's result; ``step_budget`` bounds the kernel steps as in
+    :meth:`~repro.sim.Environment.run`.
     """
+    if seed is None and faults is not None:
+        raise ValueError("a fault plan needs a seeded session")
     device = Device(env, spec, **device_kwargs)
-    BackgroundLoad(env, device, make_rng(seed))
+    if seed is not None:
+        BackgroundLoad(env, device, make_rng(seed))
     link = Link(env, link_spec)
     process = env.process(program(env, device, link))
     if faults is not None:

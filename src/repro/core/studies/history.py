@@ -10,14 +10,16 @@ extra cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.stats import mean
+from repro.core.session import simulate
 from repro.device import Device
 from repro.netstack import HostStack, HttpClient, Link
 from repro.sim import Environment
 from repro.web import BrowserEngine
 from repro.workloads.history import CELLULAR_PROFILE, YearMedians, all_years
-from repro.workloads.pages import generate_page
+from repro.workloads.pages import PageSpec, generate_page
 from repro.workloads.regexcorpus import RegexWorkloadFactory
 
 
@@ -34,6 +36,15 @@ class TimelinePoint:
     page_size_mb: float
 
 
+def _browse(env: Environment, device: Device, link: Link, page: PageSpec,
+            year: int):
+    """One page load on that year's stack."""
+    stack = HostStack(env, device)
+    # HTTPS only became the Web's default around 2015.
+    http = HttpClient(env, link, stack, tls=year >= 2015)
+    return BrowserEngine(env, device, link, stack=stack, http=http).load(page)
+
+
 def _plt_for_year(medians: YearMedians, n_pages: int,
                   factory: RegexWorkloadFactory) -> float:
     """Median-device PLT over that year's pages on the fixed profile."""
@@ -48,15 +59,9 @@ def _plt_for_year(medians: YearMedians, n_pages: int,
             ops_factor=medians.page_ops_factor,
             chain_intensity=medians.page_ops_factor,
         )
-        env = Environment()
-        device = Device(env, spec, governor="OD")
-        link = Link(env, CELLULAR_PROFILE)
-        stack = HostStack(env, device)
-        # HTTPS only became the Web's default around 2015.
-        http = HttpClient(env, link, stack, tls=medians.year >= 2015)
-        browser = BrowserEngine(env, device, link, stack=stack, http=http)
-        result = env.run(env.process(browser.load(page)))
-        plts.append(result.plt)
+        plts.append(simulate(Environment(), spec, CELLULAR_PROFILE, None,
+                             partial(_browse, page=page, year=medians.year),
+                             governor="OD").plt)
     return mean(plts)
 
 

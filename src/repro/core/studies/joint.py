@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 from repro.analysis.stats import Summary, summarize
 from repro.cache import TrialCache
 from repro.core.pipeline import cached_map
-from repro.device import Device, DeviceSpec, NEXUS4
-from repro.netstack import HostStack, HttpClient, Link, LinkSpec
+from repro.core.session import simulate
+from repro.device import DeviceSpec, NEXUS4
+from repro.netstack import HostStack, HttpClient, LinkSpec
 from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
 from repro.web import BrowserEngine
@@ -54,19 +55,6 @@ def _corpus(n_pages: int) -> list[PageSpec]:
     return generate_corpus(n_pages, factory=RegexWorkloadFactory())
 
 
-def _load(page: PageSpec, spec: DeviceSpec, link_spec: LinkSpec,
-          clock_mhz: Optional[int], tls: bool = True,
-          browser_name: str = "chrome63"):
-    env = Environment()
-    device = Device(env, spec, governor="OD", pinned_mhz=clock_mhz)
-    link = Link(env, link_spec)
-    stack = HostStack(env, device)
-    http = HttpClient(env, link, stack, tls=tls)
-    browser = BrowserEngine(env, device, link, stack=stack, http=http,
-                            cost=browser_profile(browser_name))
-    return env.run(env.process(browser.load(page)))
-
-
 @dataclass(frozen=True)
 class _GridLoadTask:
     """Picklable per-page load for one grid cell (executor fan-out unit)."""
@@ -78,8 +66,15 @@ class _GridLoadTask:
     browser_name: str = "chrome63"
 
     def __call__(self, page: PageSpec):
-        return _load(page, self.spec, self.link_spec, self.clock_mhz,
-                     tls=self.tls, browser_name=self.browser_name)
+        def program(env, device, link):
+            stack = HostStack(env, device)
+            http = HttpClient(env, link, stack, tls=self.tls)
+            browser = BrowserEngine(env, device, link, stack=stack, http=http,
+                                    cost=browser_profile(self.browser_name))
+            return browser.load(page)
+
+        return simulate(Environment(), self.spec, self.link_spec, None,
+                        program, governor="OD", pinned_mhz=self.clock_mhz)
 
 
 def joint_network_device_grid(

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
+from repro.core.session import simulate
 from repro.device import DeviceSpec, NEXUS4
-from repro.netstack import LinkSpec, run_iperf
+from repro.netstack import LinkSpec, iperf_downstream
+from repro.sim import Environment
 
 
 @dataclass(frozen=True)
@@ -27,13 +30,14 @@ def throughput_vs_clock(
 
     The paper measures 5 minutes × 20 repetitions; the simulation is
     deterministic and converges within seconds, so ``duration_s`` defaults
-    far lower.
+    far lower.  Each run is an unseeded session: the paper's quiet phone.
     """
     ladder = ladder or spec.clusters[0].freqs_mhz
+    window = partial(iperf_downstream, duration_s=duration_s)
     points = []
     for mhz in ladder:
-        result = run_iperf(spec, clock_mhz=mhz, duration_s=duration_s,
-                           link_spec=link)
+        result = simulate(Environment(), spec, link, None, window,
+                          governor="PF", pinned_mhz=mhz)
         points.append(ThroughputPoint(mhz, result.throughput_mbps))
     return points
 

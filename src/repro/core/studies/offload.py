@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.core.background import BackgroundLoad, make_rng
 from repro.core.experiments import derive_seed
-from repro.device import Device, DeviceSpec, PIXEL2
+from repro.core.session import simulate
+from repro.device import Device, DeviceSpec, DspSpec, PIXEL2
 from repro.dsp import DspScriptExecutor, FastRpcChannel
 from repro.jsruntime import CpuCostModel
-from repro.netstack import Link, LinkSpec
+from repro.netstack import LinkSpec
 from repro.sim import Environment
 from repro.web import BrowserEngine, PageLoadResult
 from repro.workloads import generate_corpus
@@ -106,44 +106,30 @@ class OffloadStudy:
         regex-containing function executes; DSP samples are the DSP rail's
         active power during the offloaded window.
         """
-        env = Environment()
-        device = Device(env, self.config.device, governor="OD",
-                        pinned_mhz=pinned_mhz)
-        BackgroundLoad(env, device, make_rng(seed))
-        link = Link(env, self.config.link)
         channel: Optional[FastRpcChannel] = None
-        if offload:
-            channel = FastRpcChannel(env, device)
-            executor = DspScriptExecutor(channel)
-            browser = BrowserEngine(env, device, link, executor=executor)
-        else:
-            browser = BrowserEngine(env, device, link)
-
         probe_trace: list[tuple[float, float]] = []
-        if power_samples is not None and not offload:
-            static = sum(
-                cluster.online_cores * self.config.device.power.static_w
-                for cluster in device.cpu.clusters
-            )
 
-            def probe():
-                while True:
-                    probe_trace.append(
-                        (env.now, max(device.energy.power_now - static, 0.0))
-                    )
-                    yield env.timeout(POWER_SAMPLE_PERIOD_S)
+        def program(env, device, link):
+            nonlocal channel
+            if offload:
+                channel = FastRpcChannel(env, device)
+                executor = DspScriptExecutor(channel)
+                return BrowserEngine(env, device, link,
+                                     executor=executor).load(page)
+            if power_samples is not None:
+                env.process(self._cpu_power_probe(env, device, probe_trace))
+            return BrowserEngine(env, device, link).load(page)
 
-            env.process(probe())
-
-        result = env.run(env.process(browser.load(page)))
+        result = simulate(Environment(), self.config.device, self.config.link,
+                          seed, program, governor="OD", pinned_mhz=pinned_mhz)
         if channel is not None:
             result.dsp_busy_s = channel.busy_s
             result.dsp_energy_j = channel.energy_j
             result.energy_j += channel.energy_j
         if power_samples is not None:
-            if offload:
+            if channel is not None:
                 power_samples.extend(
-                    self._dsp_power_samples(result, device)
+                    self._dsp_power_samples(result, channel.dsp)
                 )
             else:
                 power_samples.extend(
@@ -152,19 +138,28 @@ class OffloadStudy:
                 )
         return result
 
+    def _cpu_power_probe(self, env: Environment, device: Device,
+                         trace: list[tuple[float, float]]):
+        """Process: sample the CPU's incremental (dynamic) power forever."""
+        static = sum(
+            cluster.online_cores * self.config.device.power.static_w
+            for cluster in device.cpu.clusters
+        )
+        while True:
+            trace.append((env.now, max(device.energy.power_now - static, 0.0)))
+            yield env.timeout(POWER_SAMPLE_PERIOD_S)
+
     @staticmethod
     def _in_regex_fn(result: PageLoadResult, t: float) -> bool:
         return any(start <= t < end for start, end in result.regex_fn_intervals)
 
     def _dsp_power_samples(self, result: PageLoadResult,
-                           device: Device) -> list[float]:
+                           dsp: DspSpec) -> list[float]:
         """Per-interval DSP rail power during offloaded execution.
 
         The draw varies with the vector/scalar phase mix; sample one value
         per DVFS-granularity window across each offloaded interval.
         """
-        dsp = device.accelerators.dsp
-        assert dsp is not None
         samples = []
         for index, (start, end) in enumerate(result.regex_fn_intervals):
             n = max(1, int((end - start) / POWER_SAMPLE_PERIOD_S))

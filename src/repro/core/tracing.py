@@ -20,15 +20,15 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.experiments import derive_seed
 from repro.core.session import simulate
-from repro.device import NEXUS4, Device
+from repro.device import NEXUS4
 from repro.faults import BurstLossSpec, FaultPlan, ThermalThrottleSpec
-from repro.netstack import HostStack, Link, LinkSpec, TcpConnection
-from repro.netstack.tcp import BURST_CAP_BYTES
+from repro.netstack import LinkSpec, iperf_downstream
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -103,23 +103,11 @@ def _fig4a(env: Environment, seed: int) -> Tuple[str, float]:
 
 
 def _fig6(env: Environment, seed: int) -> Tuple[str, float]:
-    """Fig 6: downstream bulk TCP for 5 simulated seconds."""
-    # Inlined (rather than repro.netstack.run_iperf) because the tracer
-    # must be installed on the environment the transfer runs in.
-    duration_s = 5.0
-    device = Device(env, NEXUS4, governor="PF")
-    conn = TcpConnection(env, Link(env, LinkSpec()), HostStack(env, device))
-
-    def sink():
-        yield from conn.connect()
-        first = True
-        while env.now < duration_s:
-            yield from conn.receive(BURST_CAP_BYTES, first_byte_latency=first)
-            first = False
-
-    env.process(sink())
-    env.run(until=duration_s)
-    return "throughput_mbps", conn.bytes_downloaded * 8.0 / duration_s / 1e6
+    """Fig 6: downstream bulk TCP for 5 simulated seconds (unseeded)."""
+    result = simulate(env, NEXUS4, LinkSpec(), None,
+                      partial(iperf_downstream, duration_s=5.0),
+                      governor="PF")
+    return "throughput_mbps", result.throughput_mbps
 
 
 #: Name → builder.  Builders run the whole scenario inside the prepared env.

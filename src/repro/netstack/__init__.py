@@ -14,7 +14,7 @@ from repro.netstack.link import Link, LinkSpec
 from repro.netstack.hoststack import HostStack, PacketCostModel
 from repro.netstack.tcp import TcpConnection
 from repro.netstack.http import HttpClient, HttpResponse, Origin
-from repro.netstack.iperf import IperfResult, run_iperf
+from repro.netstack.iperf import IperfResult, iperf_downstream
 
 __all__ = [
     "HostStack",
@@ -26,5 +26,5 @@ __all__ = [
     "Origin",
     "PacketCostModel",
     "TcpConnection",
-    "run_iperf",
+    "iperf_downstream",
 ]

@@ -4,6 +4,9 @@ The paper runs a 5-minute downstream iperf from the LAN server to the
 phone, 20 times per clock step.  The simulation is deterministic, so the
 default run is shorter (the estimate converges within seconds); duration
 and repetitions are parameters for full-fidelity runs.
+
+:func:`iperf_downstream` is the app; a session runs it through
+:func:`repro.core.session.simulate` like any other.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.device import Device
 from repro.netstack.hoststack import HostStack, PacketCostModel
-from repro.netstack.link import Link, LinkSpec
+from repro.netstack.link import Link
 from repro.netstack.tcp import BURST_CAP_BYTES, TcpConnection
 from repro.sim import Environment
 
@@ -42,27 +45,19 @@ def _sink(env: Environment, conn: TcpConnection, stop_at: float):
         first = False
 
 
-def run_iperf(
-    device_spec,
-    clock_mhz: float | None = None,
-    duration_s: float = 20.0,
-    link_spec: LinkSpec = LinkSpec(),
-    cost: PacketCostModel = PacketCostModel(),
-    governor: str = "PF",
-) -> IperfResult:
-    """Measure downstream TCP throughput on ``device_spec``.
+def iperf_downstream(env: Environment, device: Device, link: Link,
+                     duration_s: float = 20.0,
+                     cost: PacketCostModel = PacketCostModel()):
+    """Process: bulk TCP from the LAN server for ``duration_s`` seconds.
 
-    ``clock_mhz`` pins the CPU (the Fig 6 sweep); otherwise ``governor``
-    runs.  Returns the goodput measured over ``duration_s``.
+    Starts the sink, holds the measurement window open, then returns the
+    :class:`IperfResult` for the bytes received within it.
     """
-    env = Environment()
-    device = Device(env, device_spec, governor=governor, pinned_mhz=clock_mhz)
-    link = Link(env, link_spec)
-    stack = HostStack(env, device, cost)
-    conn = TcpConnection(env, link, stack)
-    env.process(_sink(env, conn, duration_s))
-    env.run(until=duration_s)
-    return IperfResult(duration_s=duration_s, bytes_received=conn.bytes_downloaded)
+    conn = TcpConnection(env, link, HostStack(env, device, cost))
+    env.process(_sink(env, conn, env.now + duration_s))
+    yield env.timeout(duration_s)
+    return IperfResult(duration_s=duration_s,
+                       bytes_received=conn.bytes_downloaded)
 
 
-__all__ = ["IperfResult", "run_iperf"]
+__all__ = ["IperfResult", "iperf_downstream"]

@@ -199,6 +199,12 @@ def dispatch_counts(events: Sequence[Event]) -> Dict[str, int]:
     return counts
 
 
+def quarantined_count(events: Sequence[Event]) -> int:
+    """Trials the supervisor gave up on, summed over ``run_end`` events."""
+    return sum(int(event.get("quarantined", 0)) for event in events
+               if event.get("event") == "run_end")
+
+
 def cache_counts(events: Sequence[Event]) -> Dict[str, int]:
     """Result-cache traffic recorded by :mod:`repro.cache` host events."""
     counts = {"cache_hit": 0, "cache_miss": 0, "cache_store": 0}
@@ -307,6 +313,7 @@ def render_text(data: ReportData, top_k: int = 3) -> str:
     if data.events:
         lines.append(f"supervision: {counts['task_dispatch']} dispatches, "
                      f"{counts['task_complete']} completions, "
+                     f"{quarantined_count(data.events)} quarantined, "
                      f"{len(timeline)} notable events")
         for experiment, description in timeline:
             prefix = f"  [{experiment}] " if experiment else "  "
@@ -420,6 +427,7 @@ def render_html(data: ReportData, top_k: int = 3) -> str:
         counts = dispatch_counts(data.events)
         parts.append(f"<p class=\"meta\">{counts['task_dispatch']} "
                      f"dispatches, {counts['task_complete']} completions, "
+                     f"{quarantined_count(data.events)} quarantined, "
                      f"{len(timeline)} notable events</p>")
         if timeline:
             parts.append("<table><tr><th>experiment</th><th>event</th></tr>")
@@ -488,6 +496,7 @@ __all__ = [
     "html_page",
     "load_report_data",
     "main",
+    "quarantined_count",
     "render_html",
     "render_text",
     "supervision_timeline",

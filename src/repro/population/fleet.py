@@ -8,13 +8,13 @@ per-session results — but folds everything into a
 :class:`~repro.population.aggregate.FleetAggregator` instead of keeping
 records, so memory stays O(buckets) at any session count.
 
-Determinism across worker counts: the cache hit/miss partition is fixed
-by the store's contents, not by ``--jobs``, so the canonical fold order
-is (1) hits in session-index order, then (2) executed sessions in
-pending order — restored from the executor's arbitrary completion order
-by a reorder buffer bounded by the supervisor's in-flight window.  Same
-seed + same cache state → byte-identical aggregate JSON for any worker
-count.
+Determinism across worker counts and cache states: sessions come from
+:func:`~repro.core.pipeline.dispatch`, which yields cache hits and
+executed sessions alike in strict session-index order — executed ones
+restored from the executor's arbitrary completion order by a reorder
+buffer bounded by the supervisor's in-flight window.  Same seed → the
+same fold sequence, hence byte-identical aggregate JSON, for any worker
+count, cold or warm.
 """
 
 from __future__ import annotations

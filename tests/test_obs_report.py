@@ -16,6 +16,7 @@ from repro.obs.report import (
     host_wall_by_trial,
     load_report_data,
     main as report_main,
+    quarantined_count,
     render_html,
     render_text,
     supervision_timeline,
@@ -216,6 +217,24 @@ def test_text_report_covers_chaos_run(tmp_path):
     assert "quarantine(" in text           # supervision timeline entry
     assert "slowest:" in text and "wall_s" in text
     assert text.endswith("\n")
+
+
+def test_supervision_line_counts_quarantined_trials(tmp_path):
+    clean_dir = tmp_path / "clean"
+    clean_dir.mkdir()
+    runlog = RunLog(clean_dir / "run.jsonl")
+    runner = RobustTrialRunner(trials=3, experiment="clean",
+                               journal_path=clean_dir / "clean.json",
+                               runlog=runlog)
+    assert runner.run(lambda seed: 1.0).quarantined == 0
+    runlog.close()
+    clean = load_report_data(clean_dir)
+    assert "0 quarantined" in render_text(clean)
+    assert "0 quarantined" in render_html(clean)
+    chaos = chaos_report_data(tmp_path / "chaos")
+    assert quarantined_count(chaos.events) == 1
+    assert "1 quarantined" in render_text(chaos)
+    assert "1 quarantined" in render_html(chaos)
 
 
 def test_text_report_falls_back_to_steps_without_runlog(tmp_path):
