@@ -19,8 +19,8 @@ def run_ablation():
     web = WebStudy(WebStudyConfig(n_pages=4, trials=1))
     video = VideoStudy(VideoStudyConfig(clip=VideoSpec(duration_s=45),
                                         trials=1))
-    web_rows = dict(web.plt_vs_cores(cores=(1, 2, 4)))
-    video_rows = {p.label: p for p in video.vs_cores(cores=(1, 2, 4))}
+    web_rows = {p.label: p.plt for p in web.sweep("cores", values=(1, 2, 4))}
+    video_rows = {p.label: p for p in video.sweep("cores", values=(1, 2, 4))}
     return web_rows, video_rows
 
 

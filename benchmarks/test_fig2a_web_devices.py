@@ -7,20 +7,18 @@ from repro.device import by_name
 
 def run_fig2a():
     study = WebStudy(WebStudyConfig(n_pages=5, trials=2))
-    return study.qoe_across_devices()
+    return study.sweep("devices")
 
 
 def test_fig2a(benchmark, fig_printer):
     rows = benchmark.pedantic(run_fig2a, rounds=1, iterations=1)
-    labels = [spec.name for spec, _ in rows]
-    values = [summary.mean for _, summary in rows]
+    labels = [p.label for p in rows]
+    values = [p.plt.mean for p in rows]
     body = ascii_bars(labels, values, unit="s")
-    body += "\n" + "\n".join(
-        f"{spec.name:16s} {summary}" for spec, summary in rows
-    )
+    body += "\n" + "\n".join(f"{p.label:16s} {p.plt}" for p in rows)
     fig_printer("Fig 2a: PLT across devices (Chrome, default governor)", body)
 
-    by_device = {spec.name: summary for spec, summary in rows}
+    by_device = {p.label: p.plt for p in rows}
     intex = by_device["Intex Amaze+"]
     gionee = by_device["Gionee F103"]
     pixel2 = by_device["Google Pixel2"]

@@ -8,7 +8,7 @@ from repro.video import VideoSpec
 def run_fig2b():
     study = VideoStudy(VideoStudyConfig(clip=VideoSpec(duration_s=60),
                                         trials=1))
-    return study.qoe_across_devices()
+    return study.sweep("devices")
 
 
 def test_fig2b(benchmark, fig_printer):

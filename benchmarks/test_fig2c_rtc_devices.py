@@ -8,7 +8,7 @@ from repro.rtc import CallConfig
 def run_fig2c():
     study = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=10),
                                     trials=1))
-    return study.qoe_across_devices()
+    return study.sweep("devices")
 
 
 def test_fig2c(benchmark, fig_printer):

@@ -2,12 +2,11 @@
 
 from repro.analysis import render_table
 from repro.core.studies import WebStudy, WebStudyConfig
-from repro.device import NEXUS4_LADDER
 
 
 def run_fig3a():
     study = WebStudy(WebStudyConfig(n_pages=5, trials=1))
-    return study.plt_vs_clock(ladder=NEXUS4_LADDER)
+    return study.sweep("clock")
 
 
 def test_fig3a(benchmark, fig_printer):
@@ -15,14 +14,14 @@ def test_fig3a(benchmark, fig_printer):
     table = render_table(
         ["Clock (MHz)", "PLT (s)", "CP compute (s)", "CP network (s)",
          "Scripting share", "Layout+paint"],
-        [[p.clock_mhz, f"{p.plt.mean:.2f} ± {p.plt.stdev:.2f}",
+        [[p.label, f"{p.plt.mean:.2f} ± {p.plt.stdev:.2f}",
           f"{p.compute_time.mean:.2f}", f"{p.network_time.mean:.2f}",
           f"{p.scripting_share:.1%}", f"{p.layout_paint_share:.1%}"]
          for p in points],
     )
     fig_printer("Fig 3a: PLT vs clock frequency (Nexus4)", table)
 
-    by_clock = {p.clock_mhz: p for p in points}
+    by_clock = {p.label: p for p in points}
     low, high = by_clock[384], by_clock[1512]
     # Paper: 4× PLT over the ladder (we accept ≥2.8×).
     assert low.plt.mean / high.plt.mean > 2.8

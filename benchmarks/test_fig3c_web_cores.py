@@ -6,15 +6,15 @@ from repro.core.studies import WebStudy, WebStudyConfig
 
 def run_fig3c():
     study = WebStudy(WebStudyConfig(n_pages=5, trials=1))
-    return study.plt_vs_cores(cores=(1, 2, 3, 4))
+    return study.sweep("cores", values=(1, 2, 3, 4))
 
 
 def test_fig3c(benchmark, fig_printer):
     rows = benchmark.pedantic(run_fig3c, rounds=1, iterations=1)
-    body = ascii_bars([f"{n} core(s)" for n, _ in rows],
-                      [s.mean for _, s in rows], unit="s")
+    body = ascii_bars([f"{p.label} core(s)" for p in rows],
+                      [p.plt.mean for p in rows], unit="s")
     fig_printer("Fig 3c: PLT vs number of cores (Nexus4)", body)
-    by_cores = dict(rows)
+    by_cores = {p.label: p.plt for p in rows}
     # Only the 2-core step matters; 2→4 is a modest change.
     assert by_cores[1].mean > 1.1 * by_cores[4].mean
     assert by_cores[2].mean < 1.3 * by_cores[4].mean

@@ -6,15 +6,15 @@ from repro.core.studies import WebStudy, WebStudyConfig
 
 def run_fig3d():
     study = WebStudy(WebStudyConfig(n_pages=5, trials=1))
-    return study.plt_vs_governor()
+    return study.sweep("governor")
 
 
 def test_fig3d(benchmark, fig_printer):
     rows = benchmark.pedantic(run_fig3d, rounds=1, iterations=1)
-    body = ascii_bars([code for code, _ in rows],
-                      [s.mean for _, s in rows], unit="s")
+    body = ascii_bars([p.label for p in rows],
+                      [p.plt.mean for p in rows], unit="s")
     fig_printer("Fig 3d: PLT vs governor (Nexus4)", body)
-    by_code = dict(rows)
+    by_code = {p.label: p.plt for p in rows}
     # Paper: powersave ≈ +50 % over the rest; others close to performance.
     assert 1.25 < by_code["PW"].mean / by_code["PF"].mean < 2.2
     for code in ("IN", "US", "OD"):

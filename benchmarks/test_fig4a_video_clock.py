@@ -2,14 +2,13 @@
 
 from repro.analysis import render_table
 from repro.core.studies import VideoStudy, VideoStudyConfig
-from repro.device import NEXUS4_LADDER
 from repro.video import VideoSpec
 
 
 def run_fig4a():
     study = VideoStudy(VideoStudyConfig(clip=VideoSpec(duration_s=60),
                                         trials=1))
-    return study.vs_clock(ladder=NEXUS4_LADDER)
+    return study.sweep("clock")
 
 
 def test_fig4a(benchmark, fig_printer):

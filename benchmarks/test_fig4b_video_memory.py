@@ -8,7 +8,7 @@ from repro.video import VideoSpec
 def run_fig4b():
     study = VideoStudy(VideoStudyConfig(clip=VideoSpec(duration_s=60),
                                         trials=1))
-    return study.vs_memory(sizes_gb=(0.5, 1.0, 1.5, 2.0))
+    return study.sweep("memory", values=(0.5, 1.0, 1.5, 2.0))
 
 
 def test_fig4b(benchmark, fig_printer):

@@ -8,7 +8,7 @@ from repro.video import VideoSpec
 def run_fig4c():
     study = VideoStudy(VideoStudyConfig(clip=VideoSpec(duration_s=60),
                                         trials=1))
-    return study.vs_cores(cores=(1, 2, 3, 4))
+    return study.sweep("cores", values=(1, 2, 3, 4))
 
 
 def test_fig4c(benchmark, fig_printer):

@@ -8,7 +8,7 @@ from repro.video import VideoSpec
 def run_fig4d():
     study = VideoStudy(VideoStudyConfig(clip=VideoSpec(duration_s=60),
                                         trials=1))
-    return study.vs_governor()
+    return study.sweep("governor")
 
 
 def test_fig4d(benchmark, fig_printer):

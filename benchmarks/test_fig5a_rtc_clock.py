@@ -2,14 +2,13 @@
 
 from repro.analysis import render_table
 from repro.core.studies import RtcStudy, RtcStudyConfig
-from repro.device import NEXUS4_LADDER
 from repro.rtc import CallConfig
 
 
 def run_fig5a():
     study = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=10),
                                     trials=1))
-    return study.vs_clock(ladder=NEXUS4_LADDER)
+    return study.sweep("clock")
 
 
 def test_fig5a(benchmark, fig_printer):

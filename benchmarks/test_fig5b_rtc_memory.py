@@ -8,7 +8,7 @@ from repro.rtc import CallConfig
 def run_fig5b():
     study = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=10),
                                     trials=1))
-    return study.vs_memory(sizes_gb=(0.5, 1.0, 1.5, 2.0))
+    return study.sweep("memory", values=(0.5, 1.0, 1.5, 2.0))
 
 
 def test_fig5b(benchmark, fig_printer):

@@ -8,7 +8,7 @@ from repro.rtc import CallConfig
 def run_fig5c():
     study = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=10),
                                     trials=1))
-    return study.vs_cores(cores=(1, 2, 3, 4))
+    return study.sweep("cores", values=(1, 2, 3, 4))
 
 
 def test_fig5c(benchmark, fig_printer):

@@ -8,7 +8,7 @@ from repro.rtc import CallConfig
 def run_fig5d():
     study = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=10),
                                     trials=1))
-    return study.vs_governor()
+    return study.sweep("governor")
 
 
 def test_fig5d(benchmark, fig_printer):

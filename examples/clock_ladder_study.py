@@ -31,9 +31,9 @@ def main() -> None:
     rtc = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=8),
                                   trials=1))
 
-    web_points = {p.clock_mhz: p for p in web.plt_vs_clock(ladder=ladder)}
-    video_points = {p.label: p for p in video.vs_clock(ladder=ladder)}
-    rtc_points = {p.label: p for p in rtc.vs_clock(ladder=ladder)}
+    web_points, video_points, rtc_points = (
+        {p.label: p for p in study.sweep("clock", values=ladder)}
+        for study in (web, video, rtc))
 
     rows = []
     for mhz in ladder:

@@ -29,17 +29,16 @@ def main() -> None:
     rtc = RtcStudy(RtcStudyConfig(call=CallConfig(call_duration_s=10),
                                   trials=1))
 
-    web_rows = {spec.name: summary
-                for spec, summary in web.qoe_across_devices()}
-    video_rows = {p.label: p for p in video.qoe_across_devices()}
-    rtc_rows = {p.label: p for p in rtc.qoe_across_devices()}
+    web_rows, video_rows, rtc_rows = (
+        {p.label: p for p in study.sweep("devices")}
+        for study in (web, video, rtc))
 
     rows = []
     for spec in TABLE1_DEVICES:
         rows.append([
             spec.name,
             f"${spec.cost_usd}",
-            f"{web_rows[spec.name].mean:5.2f}",
+            f"{web_rows[spec.name].plt.mean:5.2f}",
             f"{video_rows[spec.name].startup.mean:5.2f}",
             f"{video_rows[spec.name].stall_ratio.mean:5.3f}",
             f"{rtc_rows[spec.name].frame_rate.mean:4.1f}",

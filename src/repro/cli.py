@@ -97,6 +97,55 @@ def _executor(args):
     return executor
 
 
+def fanout_usage_error(args) -> bool:
+    """Print the error for a bad ``--jobs``/``--task-timeout``/
+    ``--max-task-retries``; True when there was one (exit 2).
+
+    Shared by every command that fans out (figures and ``population``).
+    """
+    error = None
+    if args.jobs < 1:
+        error = f"--jobs must be at least 1 (got {args.jobs})"
+    elif args.task_timeout is not None and args.task_timeout <= 0:
+        error = f"--task-timeout must be positive (got {args.task_timeout})"
+    elif args.max_task_retries is not None and args.max_task_retries < 0:
+        error = ("--max-task-retries cannot be negative "
+                 f"(got {args.max_task_retries})")
+    elif args.jobs == 1 and (args.task_timeout is not None
+                             or args.max_task_retries is not None):
+        error = ("--task-timeout/--max-task-retries require supervised "
+                 "fan-out (--jobs 2 or more)")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return error is not None
+
+
+def cache_from(args):
+    """The trial cache under ``--cache DIR``, else ``$REPRO_CACHE``, or None."""
+    cache_dir = args.cache if args.cache is not None \
+        else os.environ.get("REPRO_CACHE")
+    if not cache_dir:
+        return None
+    from repro.cache import TrialCache
+
+    return TrialCache(Path(cache_dir))
+
+
+def report_fanout(args, executor, cache) -> None:
+    """Surface what the supervisor and the cache did, on stderr.
+
+    stderr, not stdout: stdout stays byte-identical across ``--jobs``
+    values and cache states (CI compares it).
+    """
+    totals = getattr(executor, "supervision_totals", None)
+    if totals is not None and args.jobs >= 2:
+        print(f"supervision: {totals.pool_rebuilds} rebuilds, "
+              f"{totals.task_retries} retries, "
+              f"{len(totals.quarantined)} quarantined", file=sys.stderr)
+    if cache is not None and cache.stats.lookups:
+        print(cache.stats.line(), file=sys.stderr)
+
+
 def _build_runlog(args):
     """The run's :class:`~repro.obs.runlog.RunLog`, or ``None`` when off.
 
@@ -158,13 +207,13 @@ def cmd_fig2(args) -> None:
     rtc = RtcStudy(RtcStudyConfig(
         call=CallConfig(call_duration_s=min(args.media_s, 20)),
         trials=args.trials, executor=executor))
-    web_rows = {s.name: v for s, v in web.qoe_across_devices()}
-    video_rows = {p.label: p for p in video.qoe_across_devices()}
-    rtc_rows = {p.label: p for p in rtc.qoe_across_devices()}
+    web_rows, video_rows, rtc_rows = (
+        {p.label: p for p in study.sweep("devices")}
+        for study in (web, video, rtc))
     headers = ["device", "plt_s", "plt_std", "startup_s", "stall_ratio", "fps"]
     rows = [
-        [name, web_rows[name].fmt_mean(".2f"),
-         web_rows[name].fmt_stdev(".2f"),
+        [name, web_rows[name].plt.fmt_mean(".2f"),
+         web_rows[name].plt.fmt_stdev(".2f"),
          video_rows[name].startup.fmt_mean(".2f"),
          video_rows[name].stall_ratio.fmt_mean(".3f"),
          rtc_rows[name].frame_rate.fmt_mean(".1f")]
@@ -174,16 +223,18 @@ def cmd_fig2(args) -> None:
     _maybe_csv(args, "fig2", headers, rows)
 
 
-def cmd_fig3a(args) -> None:
+def _web_study(args):
     from repro.core.studies import WebStudy, WebStudyConfig
-    from repro.device import NEXUS4_LADDER
 
-    study = WebStudy(WebStudyConfig(n_pages=args.pages, trials=args.trials,
-                                    executor=_executor(args)))
-    points = study.plt_vs_clock(ladder=NEXUS4_LADDER)
+    return WebStudy(WebStudyConfig(n_pages=args.pages, trials=args.trials,
+                                   executor=_executor(args)))
+
+
+def cmd_fig3a(args) -> None:
+    points = _web_study(args).sweep("clock")
     headers = ["clock_mhz", "plt_s", "plt_std", "cp_compute_s",
                "cp_network_s", "scripting_share"]
-    rows = [[p.clock_mhz, p.plt.fmt_mean(".2f"), p.plt.fmt_stdev(".2f"),
+    rows = [[p.label, p.plt.fmt_mean(".2f"), p.plt.fmt_stdev(".2f"),
              p.compute_time.fmt_mean(".2f"), p.network_time.fmt_mean(".2f"),
              f"{p.scripting_share:.3f}"] for p in points]
     print(render_table(headers, rows))
@@ -191,68 +242,55 @@ def cmd_fig3a(args) -> None:
 
 
 def cmd_fig3bcd(args) -> None:
-    from repro.core.studies import WebStudy, WebStudyConfig
+    study = _web_study(args)
+    tables = []
+    for axis, x, title in (("memory", "memory_gb", "memory"),
+                           ("cores", "cores", "cores"),
+                           ("governor", "governor", "governors")):
+        figure = study.FIGURES[axis]
+        print(("\n" if tables else "") + f"Fig {figure[3:]} ({title}):")
+        rows = [[p.label, p.plt.fmt_mean(".2f")] for p in study.sweep(axis)]
+        print(render_table([x, "plt_s"], rows))
+        tables.append((figure, [x, "plt_s"], rows))
+    for figure, headers, rows in tables:
+        _maybe_csv(args, figure, headers, rows)
 
-    study = WebStudy(WebStudyConfig(n_pages=args.pages, trials=args.trials,
-                                    executor=_executor(args)))
-    print("Fig 3b (memory):")
-    mem_rows = [[gb, s.fmt_mean(".2f")] for gb, s in study.plt_vs_memory()]
-    print(render_table(["memory_gb", "plt_s"], mem_rows))
-    print("\nFig 3c (cores):")
-    core_rows = [[n, s.fmt_mean(".2f")] for n, s in study.plt_vs_cores()]
-    print(render_table(["cores", "plt_s"], core_rows))
-    print("\nFig 3d (governors):")
-    gov_rows = [[g, s.fmt_mean(".2f")] for g, s in study.plt_vs_governor()]
-    print(render_table(["governor", "plt_s"], gov_rows))
-    _maybe_csv(args, "fig3b", ["memory_gb", "plt_s"], mem_rows)
-    _maybe_csv(args, "fig3c", ["cores", "plt_s"], core_rows)
-    _maybe_csv(args, "fig3d", ["governor", "plt_s"], gov_rows)
+
+def _resource_sweeps(args, study, headers, row) -> None:
+    """Figs 4 and 5: one table per resource axis, after every sweep ran."""
+    from repro.core.studies.axes import RESOURCE_AXES
+
+    sweeps = {f"{study.FIGURES[axis]}_{axis}": study.sweep(axis)
+              for axis in RESOURCE_AXES}
+    for name, points in sweeps.items():
+        print(f"\n{name}:")
+        rows = [row(p) for p in points]
+        print(render_table(headers, rows))
+        _maybe_csv(args, name, headers, rows)
 
 
 def cmd_fig4(args) -> None:
     from repro.core.studies import VideoStudy, VideoStudyConfig
-    from repro.device import NEXUS4_LADDER
     from repro.video import VideoSpec
 
     study = VideoStudy(VideoStudyConfig(
         clip=VideoSpec(duration_s=args.media_s), trials=args.trials,
         executor=_executor(args)))
-    sweeps = {
-        "fig4a_clock": study.vs_clock(ladder=NEXUS4_LADDER),
-        "fig4b_memory": study.vs_memory(),
-        "fig4c_cores": study.vs_cores(),
-        "fig4d_governor": study.vs_governor(),
-    }
-    headers = ["x", "startup_s", "stall_ratio"]
-    for name, points in sweeps.items():
-        print(f"\n{name}:")
-        rows = [[p.label, p.startup.fmt_mean(".2f"),
-                 p.stall_ratio.fmt_mean(".3f")] for p in points]
-        print(render_table(headers, rows))
-        _maybe_csv(args, name, headers, rows)
+    _resource_sweeps(args, study, ["x", "startup_s", "stall_ratio"],
+                     lambda p: [p.label, p.startup.fmt_mean(".2f"),
+                                p.stall_ratio.fmt_mean(".3f")])
 
 
 def cmd_fig5(args) -> None:
     from repro.core.studies import RtcStudy, RtcStudyConfig
-    from repro.device import NEXUS4_LADDER
     from repro.rtc import CallConfig
 
     study = RtcStudy(RtcStudyConfig(
         call=CallConfig(call_duration_s=min(args.media_s, 20)),
         trials=args.trials, executor=_executor(args)))
-    sweeps = {
-        "fig5a_clock": study.vs_clock(ladder=NEXUS4_LADDER),
-        "fig5b_memory": study.vs_memory(),
-        "fig5c_cores": study.vs_cores(),
-        "fig5d_governor": study.vs_governor(),
-    }
-    headers = ["x", "setup_delay_s", "frame_rate_fps"]
-    for name, points in sweeps.items():
-        print(f"\n{name}:")
-        rows = [[p.label, p.setup_delay.fmt_mean(".1f"),
-                 p.frame_rate.fmt_mean(".1f")] for p in points]
-        print(render_table(headers, rows))
-        _maybe_csv(args, name, headers, rows)
+    _resource_sweeps(args, study, ["x", "setup_delay_s", "frame_rate_fps"],
+                     lambda p: [p.label, p.setup_delay.fmt_mean(".1f"),
+                                p.frame_rate.fmt_mean(".1f")])
 
 
 def cmd_fig6(args) -> None:
@@ -505,22 +543,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: --media-s must be positive (got {args.media_s})",
               file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print(f"error: --task-timeout must be positive "
-              f"(got {args.task_timeout})", file=sys.stderr)
-        return 2
-    if args.max_task_retries is not None and args.max_task_retries < 0:
-        print(f"error: --max-task-retries cannot be negative "
-              f"(got {args.max_task_retries})", file=sys.stderr)
-        return 2
-    if args.jobs == 1 and (args.task_timeout is not None
-                           or args.max_task_retries is not None):
-        print("error: --task-timeout/--max-task-retries require "
-              "supervised fan-out (--jobs 2 or more)", file=sys.stderr)
+    if fanout_usage_error(args):
         return 2
     if args.resume and not args.journal:
         print("error: --resume requires --journal DIR", file=sys.stderr)
@@ -532,12 +555,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     runlog = _build_runlog(args)
     if runlog is not None:
         args._runlog = runlog
-    cache_dir = args.cache if args.cache is not None \
-        else os.environ.get("REPRO_CACHE")
-    if cache_dir:
-        from repro.cache import TrialCache
-
-        args._cache = TrialCache(Path(cache_dir))
+    args._cache = cache_from(args)
     try:
         _COMMANDS[args.figure](args)
     except KeyboardInterrupt:
@@ -553,17 +571,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     finally:
         if runlog is not None:
             runlog.close()
-        # Surface what the supervisor had to do.  stderr, not stdout:
-        # stdout stays byte-identical across --jobs values (CI cmp's it).
-        executor = getattr(args, "_executor_instance", None)
-        totals = getattr(executor, "supervision_totals", None)
-        if totals is not None and args.jobs >= 2:
-            print(f"supervision: {totals.pool_rebuilds} rebuilds, "
-                  f"{totals.task_retries} retries, "
-                  f"{len(totals.quarantined)} quarantined", file=sys.stderr)
-        cache = getattr(args, "_cache", None)
-        if cache is not None and cache.stats.lookups:
-            print(cache.stats.line(), file=sys.stderr)
+        report_fanout(args, getattr(args, "_executor_instance", None),
+                      args._cache)
     return 0
 
 

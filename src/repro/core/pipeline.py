@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cache import MISS, TrialCache, TrialKeyer, resolve_cache
+from repro.cache import MISS, TrialKeyer, resolve_cache
 from repro.obs.runlog import AnyRunLog, NULL_RUNLOG, runlog_of
 from repro.parallel import (Executor, ParallelExecutionError, QuarantinedTask,
                             TASK_HANG, WORKER_CRASH)
@@ -164,14 +164,15 @@ def dispatch(executor: Executor, task: Callable[[Any], Any],
 
 
 def cached_map(executor: Executor, task: Callable[[Any], Any],
-               items: Sequence[Any], *, experiment: str,
-               cache: Optional[TrialCache] = None) -> list:
+               items: Sequence[Any], *, experiment: str) -> list:
     """``executor.map`` with cache replay; quarantined items drop out.
 
     The fold of the figure sweeps: a point summarizes the trials that
     survived (smaller n), the same degradation sim-level failures get.
+    The cache is the one attached to ``executor`` (``executor.cache``),
+    if any.
     """
-    keyer = TrialKeyer.create(resolve_cache(cache, executor), task,
+    keyer = TrialKeyer.create(resolve_cache(executor), task,
                               experiment=experiment)
     return [result for _, result, _ in dispatch(
         executor, task, items, keyer=keyer, runlog=runlog_of(executor))

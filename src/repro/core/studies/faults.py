@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary
-from repro.cache import TrialCache
 from repro.core.experiments import RobustRunReport, RobustTrialRunner
 from repro.core.session import simulate
 from repro.device import DeviceSpec, NEXUS4
@@ -66,9 +65,6 @@ class FaultStudyConfig:
     journal_dir: Optional[Path] = None
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
-    #: Content-addressed result cache; None checks the executor for an
-    #: attached one (see :mod:`repro.cache`).
-    cache: Optional[TrialCache] = None
 
 
 @dataclass
@@ -89,47 +85,54 @@ class FaultStudy:
             self.config.n_pages, factory=RegexWorkloadFactory(),
         )
 
-    def _crash_specs(self) -> tuple[CrashSpec, ...]:
-        if self.config.crash_probability <= 0:
-            return ()
-        return (CrashSpec(probability=self.config.crash_probability,
-                          window_s=(0.5, 8.0)),)
+    def _plan(self, p_bad: float = 0.0, cap: float = 1.0,
+              throttle_at_s: float = 0.5) -> FaultPlan:
+        """One sweep point's faults, then the crash injector when enabled.
+
+        A Gilbert–Elliott burst-loss channel when ``p_bad > 0``; a
+        thermal cap from sim time ``throttle_at_s`` when ``cap < 1``.
+        """
+        specs: list = []
+        if p_bad > 0:
+            specs.append(BurstLossSpec(p_bad=p_bad, mean_good_s=3.0,
+                                       mean_bad_s=2.0))
+        if cap < 1.0:
+            specs.append(ThermalThrottleSpec(schedule=((throttle_at_s, cap),)))
+        if self.config.crash_probability > 0:
+            specs.append(CrashSpec(probability=self.config.crash_probability,
+                                   window_s=(0.5, 8.0)))
+        return FaultPlan(specs)
 
     # -- runner plumbing ---------------------------------------------------
 
-    def _runner(self, experiment: str) -> RobustTrialRunner:
+    def _point(self, experiment: str, label: str, trial_fn,
+               resume: bool) -> FaultSweepPoint:
         journal = None
         if self.config.journal_dir is not None:
             safe = experiment.replace(":", "_").replace("/", "_")
             journal = Path(self.config.journal_dir) / f"{safe}.json"
-        return RobustTrialRunner(
+        report = RobustTrialRunner(
             trials=self.config.trials, experiment=experiment,
             max_attempts=self.config.max_attempts,
             step_budget=self.config.step_budget, journal_path=journal,
             executor=self.config.executor,
-            cache=self.config.cache,
-        )
+        ).run(trial_fn, resume=resume)
+        return FaultSweepPoint(label=label, metric=report.summary(),
+                               report=report)
 
     def _web_point(self, experiment: str, label: str, plan: FaultPlan,
-                   spec: DeviceSpec, resume: bool,
-                   **device_kwargs) -> FaultSweepPoint:
-        trial_fn = _WebFaultTrial(spec=spec, link=self.config.link,
-                                  pages=tuple(self.corpus), plan=plan,
-                                  device_kwargs=device_kwargs)
-        report = self._runner(experiment).run(trial_fn, resume=resume)
-        return FaultSweepPoint(label=label, metric=report.summary(),
-                               report=report)
+                   spec: DeviceSpec, resume: bool) -> FaultSweepPoint:
+        return self._point(experiment, label, _WebFaultTrial(
+            spec=spec, link=self.config.link, pages=tuple(self.corpus),
+            plan=plan, device_kwargs={"governor": "OD"}), resume)
 
     def _video_point(self, experiment: str, label: str, plan: FaultPlan,
-                     spec: DeviceSpec, resume: bool, metric: str = "stall",
-                     **device_kwargs) -> FaultSweepPoint:
-        trial_fn = _VideoFaultTrial(spec=spec, link=self.config.link,
-                                    clip=self.config.clip, plan=plan,
-                                    metric=metric,
-                                    device_kwargs=device_kwargs)
-        report = self._runner(experiment).run(trial_fn, resume=resume)
-        return FaultSweepPoint(label=label, metric=report.summary(),
-                               report=report)
+                     spec: DeviceSpec, resume: bool,
+                     metric: str = "stall") -> FaultSweepPoint:
+        return self._point(experiment, label, _VideoFaultTrial(
+            spec=spec, link=self.config.link, clip=self.config.clip,
+            plan=plan, metric=metric, device_kwargs={"governor": "OD"}),
+            resume)
 
     # -- sweeps ------------------------------------------------------------
 
@@ -139,17 +142,9 @@ class FaultStudy:
         resume: bool = False,
     ) -> list[FaultSweepPoint]:
         """Mean PLT as the bad-state loss rate of a GE channel grows."""
-        points = []
-        for p_bad in p_bads:
-            specs = self._crash_specs()
-            if p_bad > 0:
-                specs = (BurstLossSpec(p_bad=p_bad, mean_good_s=3.0,
-                                       mean_bad_s=2.0),) + specs
-            points.append(self._web_point(
-                f"faults:web:ge:{p_bad}", f"p_bad={p_bad}",
-                FaultPlan(specs), spec, resume, governor="OD",
-            ))
-        return points
+        return [self._web_point(f"faults:web:ge:{p_bad}", f"p_bad={p_bad}",
+                                self._plan(p_bad=p_bad), spec, resume)
+                for p_bad in p_bads]
 
     def plt_vs_thermal_cap(
         self, spec: DeviceSpec = NEXUS4,
@@ -157,17 +152,9 @@ class FaultStudy:
         resume: bool = False,
     ) -> list[FaultSweepPoint]:
         """Mean PLT as a thermal governor caps the DVFS ladder mid-load."""
-        points = []
-        for cap in caps:
-            specs = self._crash_specs()
-            if cap < 1.0:
-                specs = (ThermalThrottleSpec(
-                    schedule=((0.5, cap),)),) + specs
-            points.append(self._web_point(
-                f"faults:web:thermal:{cap}", f"cap={cap}",
-                FaultPlan(specs), spec, resume, governor="OD",
-            ))
-        return points
+        return [self._web_point(f"faults:web:thermal:{cap}", f"cap={cap}",
+                                self._plan(cap=cap), spec, resume)
+                for cap in caps]
 
     def rebuffer_vs_burst_loss(
         self, spec: DeviceSpec = NEXUS4,
@@ -175,17 +162,10 @@ class FaultStudy:
         resume: bool = False,
     ) -> list[FaultSweepPoint]:
         """Stall ratio as the GE channel's bad-state loss rate grows."""
-        points = []
-        for p_bad in p_bads:
-            specs = self._crash_specs()
-            if p_bad > 0:
-                specs = (BurstLossSpec(p_bad=p_bad, mean_good_s=3.0,
-                                       mean_bad_s=2.0),) + specs
-            points.append(self._video_point(
-                f"faults:video:ge:{p_bad}", f"p_bad={p_bad}",
-                FaultPlan(specs), spec, resume, governor="OD",
-            ))
-        return points
+        return [self._video_point(f"faults:video:ge:{p_bad}",
+                                  f"p_bad={p_bad}", self._plan(p_bad=p_bad),
+                                  spec, resume)
+                for p_bad in p_bads]
 
     def rebuffer_vs_thermal_cap(
         self, spec: DeviceSpec = NEXUS4,
@@ -200,17 +180,10 @@ class FaultStudy:
         Fig 4a's flat stall line.  The metric that *does* move is startup
         (see :meth:`startup_vs_thermal_cap`).
         """
-        points = []
-        for cap in caps:
-            specs = self._crash_specs()
-            if cap < 1.0:
-                specs = (ThermalThrottleSpec(
-                    schedule=((0.5, cap),)),) + specs
-            points.append(self._video_point(
-                f"faults:video:thermal:{cap}", f"cap={cap}",
-                FaultPlan(specs), spec, resume, governor="OD",
-            ))
-        return points
+        return [self._video_point(f"faults:video:thermal:{cap}",
+                                  f"cap={cap}", self._plan(cap=cap),
+                                  spec, resume)
+                for cap in caps]
 
     def startup_vs_thermal_cap(
         self, spec: DeviceSpec = NEXUS4,
@@ -219,20 +192,13 @@ class FaultStudy:
     ) -> list[FaultSweepPoint]:
         """Start-up latency under thermal caps — the metric §3.2 says
         clock throttling actually hurts (player init is compute-bound)."""
-        points = []
-        for cap in caps:
-            specs = self._crash_specs()
-            if cap < 1.0:
-                # Cap from t=0 so the init phase, not just steady state,
-                # runs throttled.
-                specs = (ThermalThrottleSpec(
-                    schedule=((0.0, cap),)),) + specs
-            points.append(self._video_point(
-                f"faults:video:startup:{cap}", f"cap={cap}",
-                FaultPlan(specs), spec, resume, metric="startup",
-                governor="OD",
-            ))
-        return points
+        # Cap from t=0 so the init phase, not just steady state, runs
+        # throttled.
+        return [self._video_point(f"faults:video:startup:{cap}",
+                                  f"cap={cap}",
+                                  self._plan(cap=cap, throttle_at_s=0.0),
+                                  spec, resume, metric="startup")
+                for cap in caps]
 
 
 @dataclass

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import TrialCache
 from repro.core.pipeline import cached_map
 from repro.core.session import simulate
 from repro.device import DeviceSpec, NEXUS4
@@ -83,7 +82,6 @@ def joint_network_device_grid(
     clocks_mhz: Sequence[int] = (384, 810, 1512),
     n_pages: int = 4,
     executor: Optional[Executor] = None,
-    cache: Optional[TrialCache] = None,
 ) -> list[JointPoint]:
     """PLT over the bandwidth × clock grid.
 
@@ -101,7 +99,7 @@ def joint_network_device_grid(
             # (n=0 renders "n/a", times fall back to 0).
             results = cached_map(
                 executor, _GridLoadTask(spec, link_spec, mhz), pages,
-                experiment=f"joint:{mbps}:{mhz}", cache=cache)
+                experiment=f"joint:{mbps}:{mhz}")
             n = len(results) or 1
             points.append(JointPoint(
                 bandwidth_mbps=mbps,
@@ -134,7 +132,6 @@ def tls_overhead(
     clocks_mhz: Sequence[int] = (384, 810, 1512),
     n_pages: int = 4,
     executor: Optional[Executor] = None,
-    cache: Optional[TrialCache] = None,
 ) -> list[TlsPoint]:
     """PLT with and without TLS across clocks.
 
@@ -151,10 +148,10 @@ def tls_overhead(
     for mhz in clocks_mhz:
         tls_on = cached_map(
             executor, _GridLoadTask(spec, link_spec, mhz, tls=True), pages,
-            experiment=f"tls:{mhz}:on", cache=cache)
+            experiment=f"tls:{mhz}:on")
         tls_off = cached_map(
             executor, _GridLoadTask(spec, link_spec, mhz, tls=False), pages,
-            experiment=f"tls:{mhz}:off", cache=cache)
+            experiment=f"tls:{mhz}:off")
         points.append(TlsPoint(
             clock_mhz=mhz,
             plt_tls=summarize([r.plt for r in tls_on]),
@@ -169,7 +166,6 @@ def browsers_vs_clock(
     clocks_mhz: Sequence[int] = (384, 1512),
     n_pages: int = 4,
     executor: Optional[Executor] = None,
-    cache: Optional[TrialCache] = None,
 ) -> dict[str, dict[int, Summary]]:
     """PLT per browser profile across clocks.
 
@@ -189,7 +185,6 @@ def browsers_vs_clock(
                 _GridLoadTask(spec, link_spec, mhz,
                               browser_name=browser_name),
                 pages, experiment=f"browsers:{browser_name}:{mhz}",
-                cache=cache,
             )
             table[browser_name][mhz] = summarize([r.plt for r in results])
     return table

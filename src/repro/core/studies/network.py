@@ -31,8 +31,11 @@ def throughput_vs_clock(
     The paper measures 5 minutes × 20 repetitions; the simulation is
     deterministic and converges within seconds, so ``duration_s`` defaults
     far lower.  Each run is an unseeded session: the paper's quiet phone.
+    Only ``ladder=None`` means the device's whole ladder; an empty
+    ladder gives no points.
     """
-    ladder = ladder or spec.clusters[0].freqs_mhz
+    if ladder is None:
+        ladder = spec.clusters[0].freqs_mhz
     window = partial(iperf_downstream, duration_s=duration_s)
     points = []
     for mhz in ladder:

@@ -6,11 +6,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import TrialCache
-from repro.core.experiments import derive_seed
-from repro.core.pipeline import cached_map
 from repro.core.session import simulate
-from repro.device import DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
+from repro.core.studies.axes import axis_points, run_trials
+from repro.device import DeviceSpec, NEXUS4
 from repro.netstack import LinkSpec
 from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
@@ -26,9 +24,6 @@ class VideoStudyConfig:
     link: LinkSpec = field(default_factory=LinkSpec)
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
-    #: Content-addressed result cache; None checks the executor for an
-    #: attached one (see :mod:`repro.cache`).
-    cache: Optional[TrialCache] = None
 
 
 @dataclass
@@ -43,71 +38,35 @@ class StreamingPoint:
 class VideoStudy:
     """Parameterized streaming sweeps on the simulated testbed."""
 
+    #: Figure id of each §3 axis.
+    FIGURES = {"devices": "fig2b", "clock": "fig4a", "memory": "fig4b",
+               "cores": "fig4c", "governor": "fig4d"}
+
     def __init__(self, config: Optional[VideoStudyConfig] = None):
         self.config = config or VideoStudyConfig()
         self.executor = self.config.executor or SerialExecutor()
 
-    def _point(self, spec: DeviceSpec, label: object, experiment: str,
-               **device_kwargs) -> StreamingPoint:
-        seeds = [derive_seed(experiment, t)
-                 for t in range(self.config.trials)]
-        # Quarantined trials (supervised executors only) shrink n rather
-        # than failing the sweep — same degradation as sim-level faults.
-        results = cached_map(
-            self.executor,
-            _StreamTask(spec=spec, link=self.config.link,
-                        clip=self.config.clip, device_kwargs=device_kwargs),
-            seeds, experiment=experiment, cache=self.config.cache,
-        )
-        return StreamingPoint(
-            label=label,
-            startup=summarize([r.startup_latency_s for r in results]),
-            stall_ratio=summarize([r.stall_ratio for r in results]),
-        )
+    def sweep(self, axis: str, spec: DeviceSpec = NEXUS4,
+              values: Optional[Sequence] = None) -> list[StreamingPoint]:
+        """Start-up latency and stall ratio along one §3 axis.
 
-    def qoe_across_devices(
-        self, devices: Sequence[DeviceSpec] = TABLE1_DEVICES
-    ) -> list[StreamingPoint]:
-        """Start-up latency / stall ratio per Table 1 device (Fig 2b)."""
-        return [
-            self._point(spec, spec.name, f"fig2b:{spec.name}", governor="OD")
-            for spec in devices
-        ]
-
-    def vs_clock(self, spec: DeviceSpec = NEXUS4,
-                 ladder: Optional[Sequence[int]] = None) -> list[StreamingPoint]:
-        """Fig 4a: the DVFS ladder sweep."""
-        ladder = ladder or spec.clusters[0].freqs_mhz
-        return [
-            self._point(spec, mhz, f"fig4a:{mhz}", pinned_mhz=mhz)
-            for mhz in ladder
-        ]
-
-    def vs_memory(self, spec: DeviceSpec = NEXUS4,
-                  sizes_gb: Sequence[float] = (0.5, 1.0, 1.5, 2.0)
-                  ) -> list[StreamingPoint]:
-        """Fig 4b: memory sweep."""
-        return [
-            self._point(spec, gb, f"fig4b:{gb}", governor="OD", memory_gb=gb)
-            for gb in sizes_gb
-        ]
-
-    def vs_cores(self, spec: DeviceSpec = NEXUS4,
-                 cores: Sequence[int] = (1, 2, 3, 4)) -> list[StreamingPoint]:
-        """Fig 4c: core-count sweep."""
-        return [
-            self._point(spec, n, f"fig4c:{n}", governor="OD", online_cores=n)
-            for n in cores
-        ]
-
-    def vs_governor(self, spec: DeviceSpec = NEXUS4,
-                    governors: Sequence[str] = GOVERNOR_CODES
-                    ) -> list[StreamingPoint]:
-        """Fig 4d: governor sweep (PF IN US OD PW)."""
-        return [
-            self._point(spec, code, f"fig4d:{code}", governor=code)
-            for code in governors
-        ]
+        ``devices`` is Fig 2b, ``clock``/``memory``/``cores``/``governor``
+        are Figs 4a–4d; ``values=None`` sweeps the axis default.
+        """
+        points = []
+        for label, experiment, point_spec, device_kwargs in axis_points(
+                self.FIGURES, axis, spec, values):
+            task = _StreamTask(spec=point_spec, link=self.config.link,
+                               clip=self.config.clip,
+                               device_kwargs=device_kwargs)
+            results = run_trials(self.executor, task, experiment,
+                                 self.config.trials)
+            points.append(StreamingPoint(
+                label=label,
+                startup=summarize([r.startup_latency_s for r in results]),
+                stall_ratio=summarize([r.stall_ratio for r in results]),
+            ))
+        return points
 
 
 @dataclass

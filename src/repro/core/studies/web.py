@@ -1,10 +1,11 @@
 """Web-browsing QoE studies (Figs 2a, 3a–3d; §3.1).
 
-Each method sweeps one device parameter while holding everything else at
-defaults, exactly as §3 prescribes ("the effect of a given resource is
-isolated by changing its value while keeping the remaining setup
-constant"), loading the Alexa-like corpus repeatedly with per-trial
-background jitter and reporting mean ± std.
+:meth:`WebStudy.sweep` walks one §3 resource axis while holding
+everything else at defaults, exactly as §3 prescribes ("the effect of a
+given resource is isolated by changing its value while keeping the
+remaining setup constant"), loading the Alexa-like corpus repeatedly
+with per-trial background jitter and reporting mean ± std.  The axes
+themselves live in :mod:`repro.core.studies.axes`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import TrialCache
-from repro.core.experiments import derive_seed
-from repro.core.pipeline import cached_map
 from repro.core.session import simulate
-from repro.device import DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
+from repro.core.studies.axes import axis_points, run_trials
+from repro.device import DeviceSpec, NEXUS4
 from repro.netstack import LinkSpec
 from repro.parallel import Executor, SerialExecutor
 from repro.sim import Environment
@@ -41,16 +40,13 @@ class WebStudyConfig:
     link: LinkSpec = field(default_factory=LinkSpec)
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
-    #: Content-addressed result cache; None checks the executor for an
-    #: attached one (see :mod:`repro.cache`).
-    cache: Optional[TrialCache] = None
 
 
 @dataclass
-class ClockSweepPoint:
-    """One x-position of Fig 3a with its §3.1 decomposition."""
+class PageLoadPoint:
+    """One x-position of Fig 2a/3a–3d with its §3.1 decomposition."""
 
-    clock_mhz: int
+    label: object
     plt: Summary
     compute_time: Summary
     network_time: Summary
@@ -60,6 +56,10 @@ class ClockSweepPoint:
 
 class WebStudy:
     """Shared page corpus + parameterized page-load sweeps."""
+
+    #: Figure id of each §3 axis.
+    FIGURES = {"devices": "fig2a", "clock": "fig3a", "memory": "fig3b",
+               "cores": "fig3c", "governor": "fig3d"}
 
     def __init__(self, config: Optional[WebStudyConfig] = None):
         self.config = config or WebStudyConfig()
@@ -78,17 +78,10 @@ class WebStudy:
             spec=spec, link=self.config.link,
             pages=tuple(self.corpus if pages is None else pages),
             device_kwargs=device_kwargs)
-        seeds = [derive_seed(experiment, trial)
-                 for trial in range(self.config.trials)]
-        # cached_map() returns trial-order results whatever the completion
-        # order, so the flattened list matches the serial loop exactly —
-        # and replays any trial whose exact (params, seed, code) result
-        # is already stored.  A trial the supervisor quarantined drops
-        # out (smaller n), mirroring how sim-level failures degrade.
         return [result
-                for trial_results in cached_map(
-                    self.executor, task, seeds, experiment=experiment,
-                    cache=self.config.cache)
+                for trial_results in run_trials(self.executor, task,
+                                                experiment,
+                                                self.config.trials)
                 for result in trial_results]
 
     def plt_summary(self, spec: DeviceSpec, experiment: str,
@@ -98,35 +91,23 @@ class WebStudy:
         results = self._results(spec, experiment, pages, **device_kwargs)
         return summarize([r.plt for r in results])
 
-    # -- Fig 2a -------------------------------------------------------------
+    def sweep(self, axis: str, spec: DeviceSpec = NEXUS4,
+              values: Optional[Sequence] = None) -> list[PageLoadPoint]:
+        """PLT and critical-path decomposition along one §3 axis.
 
-    def qoe_across_devices(
-        self, devices: Sequence[DeviceSpec] = TABLE1_DEVICES
-    ) -> list[tuple[DeviceSpec, Summary]]:
-        """PLT per Table 1 device at the default governor (Fig 2a)."""
-        return [
-            (spec, self.plt_summary(spec, f"fig2a:{spec.name}", governor="OD"))
-            for spec in devices
-        ]
-
-    # -- Fig 3a -------------------------------------------------------------
-
-    def plt_vs_clock(
-        self,
-        spec: DeviceSpec = NEXUS4,
-        ladder: Optional[Sequence[int]] = None,
-    ) -> list[ClockSweepPoint]:
-        """PLT and critical-path decomposition across the DVFS ladder."""
-        ladder = ladder or spec.clusters[0].freqs_mhz
+        ``devices`` is Fig 2a, ``clock``/``memory``/``cores``/``governor``
+        are Figs 3a–3d; ``values=None`` sweeps the axis default.
+        """
         points = []
-        for mhz in ladder:
-            results = self._results(spec, f"fig3a:{mhz}", pinned_mhz=mhz)
+        for label, experiment, point_spec, device_kwargs in axis_points(
+                self.FIGURES, axis, spec, values):
+            results = self._results(point_spec, experiment, **device_kwargs)
             # Every trial of a point can be quarantined under host faults;
             # the shares then render as 0 next to an "n/a (n=0)" summary
             # instead of dividing by zero.
             n = len(results) or 1
-            points.append(ClockSweepPoint(
-                clock_mhz=mhz,
+            points.append(PageLoadPoint(
+                label=label,
                 plt=summarize([r.plt for r in results]),
                 compute_time=summarize([r.compute_time for r in results]),
                 network_time=summarize([r.network_time for r in results]),
@@ -138,40 +119,6 @@ class WebStudy:
                 ),
             ))
         return points
-
-    # -- Fig 3b/3c/3d ---------------------------------------------------------
-
-    def plt_vs_memory(
-        self, spec: DeviceSpec = NEXUS4,
-        sizes_gb: Sequence[float] = (0.5, 1.0, 1.5, 2.0),
-    ) -> list[tuple[float, Summary]]:
-        """PLT for RAM-disk-restricted memory sizes (Fig 3b)."""
-        return [
-            (gb, self.plt_summary(spec, f"fig3b:{gb}", governor="OD",
-                                  memory_gb=gb))
-            for gb in sizes_gb
-        ]
-
-    def plt_vs_cores(
-        self, spec: DeviceSpec = NEXUS4,
-        cores: Sequence[int] = (1, 2, 3, 4),
-    ) -> list[tuple[int, Summary]]:
-        """PLT with cores hot-unplugged (Fig 3c)."""
-        return [
-            (n, self.plt_summary(spec, f"fig3c:{n}", governor="OD",
-                                 online_cores=n))
-            for n in cores
-        ]
-
-    def plt_vs_governor(
-        self, spec: DeviceSpec = NEXUS4,
-        governors: Sequence[str] = GOVERNOR_CODES,
-    ) -> list[tuple[str, Summary]]:
-        """PLT per frequency governor (Fig 3d; PF IN US OD PW)."""
-        return [
-            (code, self.plt_summary(spec, f"fig3d:{code}", governor=code))
-            for code in governors
-        ]
 
     # -- §3.1: category sensitivity -------------------------------------------
 
@@ -221,4 +168,4 @@ class _PageLoadTask:
         ]
 
 
-__all__ = ["ClockSweepPoint", "WebStudy", "WebStudyConfig"]
+__all__ = ["PageLoadPoint", "WebStudy", "WebStudyConfig"]

@@ -10,7 +10,6 @@ artifact CI byte-compares between serial and parallel runs) and
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -73,6 +72,8 @@ def _write(path: str, text: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.cli import cache_from, fanout_usage_error, report_fanout
+
     args = build_parser().parse_args(argv)
     if args.sessions < 1:
         print(f"error: --sessions must be at least 1 (got {args.sessions})",
@@ -82,22 +83,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: --seed cannot be negative (got {args.seed})",
               file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print(f"error: --task-timeout must be positive "
-              f"(got {args.task_timeout})", file=sys.stderr)
-        return 2
-    if args.max_task_retries is not None and args.max_task_retries < 0:
-        print(f"error: --max-task-retries cannot be negative "
-              f"(got {args.max_task_retries})", file=sys.stderr)
-        return 2
-    if args.jobs == 1 and (args.task_timeout is not None
-                           or args.max_task_retries is not None):
-        print("error: --task-timeout/--max-task-retries require "
-              "supervised fan-out (--jobs 2 or more)", file=sys.stderr)
+    if fanout_usage_error(args):
         return 2
     if args.pages < 1:
         print(f"error: --pages must be at least 1 (got {args.pages})",
@@ -123,13 +109,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.runlog is not None or args.progress:
         listeners = [ProgressRenderer().handle] if args.progress else []
         runlog = RunLog(args.runlog, listeners=listeners)
-    cache = None
-    cache_dir = args.cache if args.cache is not None \
-        else os.environ.get("REPRO_CACHE")
-    if cache_dir:
-        from repro.cache import TrialCache
-
-        cache = TrialCache(Path(cache_dir))
+    cache = cache_from(args)
     executor = get_executor(args.jobs, task_timeout_s=args.task_timeout,
                             max_task_retries=args.max_task_retries)
     config = PopulationConfig(sessions=args.sessions, seed=args.seed,
@@ -149,13 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if runlog is not None:
             runlog.close()
-        totals = getattr(executor, "supervision_totals", None)
-        if totals is not None and args.jobs >= 2:
-            print(f"supervision: {totals.pool_rebuilds} rebuilds, "
-                  f"{totals.task_retries} retries, "
-                  f"{len(totals.quarantined)} quarantined", file=sys.stderr)
-        if cache is not None and cache.stats.lookups:
-            print(cache.stats.line(), file=sys.stderr)
+        report_fanout(args, executor, cache)
     sys.stdout.write(render_text(report))
     if args.json:
         _write(args.json, report.to_json())

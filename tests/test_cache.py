@@ -323,20 +323,27 @@ def test_resolve_cache_prefers_explicit_then_attached(tmp_path):
 
 # -- cached_map -------------------------------------------------------------
 
+def attached(cache: TrialCache) -> SerialExecutor:
+    """A serial executor carrying ``cache``, the way the CLI attaches one."""
+    executor = SerialExecutor()
+    executor.cache = cache
+    return executor
+
+
 def test_cached_map_hits_skip_execution_and_preserve_order(tmp_path):
     cache = TrialCache(tmp_path)
     task = ScaleTask(scale=3)
     CALLS.clear()
-    cold = cached_map(SerialExecutor(), task, [5, 1, 9],
-                      experiment="e", cache=cache)
+    cold = cached_map(attached(cache), task, [5, 1, 9],
+                      experiment="e")
     assert cold == [15, 3, 27]
     assert CALLS == [5, 1, 9]
     assert (cache.stats.hits, cache.stats.misses,
             cache.stats.stores) == (0, 3, 3)
 
     CALLS.clear()
-    warm = cached_map(SerialExecutor(), task, [5, 1, 9],
-                      experiment="e", cache=cache)
+    warm = cached_map(attached(cache), task, [5, 1, 9],
+                      experiment="e")
     assert warm == cold
     assert CALLS == []  # every trial replayed from the store
     assert cache.stats.hits == 3
@@ -345,10 +352,10 @@ def test_cached_map_hits_skip_execution_and_preserve_order(tmp_path):
 def test_cached_map_partial_warmth_dispatches_only_misses(tmp_path):
     cache = TrialCache(tmp_path)
     task = ScaleTask(scale=2)
-    cached_map(SerialExecutor(), task, [1, 2], experiment="e", cache=cache)
+    cached_map(attached(cache), task, [1, 2], experiment="e")
     CALLS.clear()
-    out = cached_map(SerialExecutor(), task, [1, 2, 3],
-                     experiment="e", cache=cache)
+    out = cached_map(attached(cache), task, [1, 2, 3],
+                     experiment="e")
     assert out == [2, 4, 6]
     assert CALLS == [3]  # index 2 was the only miss
 
@@ -363,8 +370,8 @@ def test_cached_map_without_a_cache_is_plain_map():
 
 def test_cached_map_uncacheable_task_runs_uncached(tmp_path):
     cache = TrialCache(tmp_path)
-    out = cached_map(SerialExecutor(), lambda s: s + 1, [1, 2],
-                     experiment="e", cache=cache)
+    out = cached_map(attached(cache), lambda s: s + 1, [1, 2],
+                     experiment="e")
     assert out == [2, 3]
     assert cache.stats.lookups == 0
     assert cache.stats.uncacheable == 1
@@ -374,8 +381,7 @@ def test_cached_map_uncacheable_task_runs_uncached(tmp_path):
 def test_dispatch_flags_cache_replays(tmp_path):
     cache = TrialCache(tmp_path)
     task = ScaleTask(scale=2)
-    cached_map(SerialExecutor(), task, [1, 2, 3], experiment="e",
-               cache=cache)
+    cached_map(attached(cache), task, [1, 2, 3], experiment="e")
     keyer = TrialKeyer.create(cache, task, experiment="e")
     cache._entry_path(keyer.key(1, 2)).unlink()
     seen = list(dispatch(SerialExecutor(), task, [1, 2, 3], keyer=keyer))
@@ -385,29 +391,28 @@ def test_dispatch_flags_cache_replays(tmp_path):
 
 def test_experiment_and_scale_separate_cache_entries(tmp_path):
     cache = TrialCache(tmp_path)
-    assert cached_map(SerialExecutor(), ScaleTask(scale=2), [3],
-                      experiment="e", cache=cache) == [6]
+    assert cached_map(attached(cache), ScaleTask(scale=2), [3],
+                      experiment="e") == [6]
     # Same item, different experiment: a miss, not a cross-talk hit.
-    assert cached_map(SerialExecutor(), ScaleTask(scale=2), [3],
-                      experiment="f", cache=cache) == [6]
+    assert cached_map(attached(cache), ScaleTask(scale=2), [3],
+                      experiment="f") == [6]
     # Same experiment, different task params: also a miss.
-    assert cached_map(SerialExecutor(), ScaleTask(scale=10), [3],
-                      experiment="e", cache=cache) == [30]
+    assert cached_map(attached(cache), ScaleTask(scale=10), [3],
+                      experiment="e") == [30]
     assert cache.stats.hits == 0 and cache.stats.misses == 3
 
 
 def test_torn_payload_demotes_the_hit_and_recomputes(tmp_path):
     cache = TrialCache(tmp_path)
     task = ScaleTask(scale=2)
-    cached_map(SerialExecutor(), task, [1], experiment="e", cache=cache)
+    cached_map(attached(cache), task, [1], experiment="e")
     # Corrupt the stored payload but keep the entry well-formed JSON.
     path = next(iter(cache.iter_entries()))
     entry = json.loads(path.read_text())
     entry["payload"] = "!!! not base64 pickle !!!"
     path.write_text(json.dumps(entry))
     fresh = TrialCache(tmp_path)
-    assert cached_map(SerialExecutor(), task, [1], experiment="e",
-                      cache=fresh) == [2]
+    assert cached_map(attached(fresh), task, [1], experiment="e") == [2]
     assert fresh.stats.hits == 0 and fresh.stats.misses == 1
     assert fresh.stats.stores == 1  # the recompute re-stored a good entry
 
@@ -420,8 +425,7 @@ def test_wrong_kind_entry_is_booked_as_a_miss(tmp_path):
               payload={"trial": 0, "seed": 1, "status": "ok", "value": 9.0},
               fingerprint=keyer.fingerprint)
     CALLS.clear()
-    assert cached_map(SerialExecutor(), task, [1], experiment="e",
-                      cache=cache) == [2]
+    assert cached_map(attached(cache), task, [1], experiment="e") == [2]
     assert CALLS == [1]  # recomputed, not trusted
     assert (cache.stats.hits, cache.stats.misses,
             cache.stats.stores) == (0, 1, 2)

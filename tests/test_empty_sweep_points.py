@@ -1,16 +1,28 @@
 """Sweep points with no sample render as missing data, never as numbers.
 
 A supervised executor may quarantine every trial of a sweep point, and a
-page selection may be empty.  Either way the point's summary has n = 0:
-studies and the CLI must then say "n/a" (or omit a ratio), not print a
-made-up 0.00 or die on a division by zero.
+page or value selection may be empty.  Either way there is no sample:
+studies and the CLI must then say "n/a" (or omit a ratio, or return no
+points), not print a made-up 0.00, die on a division by zero or fall back
+to the default sweep.
 """
 
 from __future__ import annotations
 
+import pytest
+
 import repro.cli as cli
 from repro.analysis.stats import summarize
-from repro.core.studies import WebStudy, WebStudyConfig
+from repro.core.studies import (
+    RtcStudy,
+    RtcStudyConfig,
+    VideoStudy,
+    VideoStudyConfig,
+    WebStudy,
+    WebStudyConfig,
+    throughput_vs_clock,
+)
+from repro.core.studies.web import PageLoadPoint
 from repro.device import NEXUS4
 from repro.parallel.chaos import (
     CHAOS_CORRUPT,
@@ -30,9 +42,10 @@ def test_quarantined_points_have_no_sample_and_no_ratio():
     study = WebStudy(WebStudyConfig(n_pages=1, trials=1,
                                     categories=("news",),
                                     executor=_quarantine_every_trial()))
-    ((_, memory_point),) = study.plt_vs_memory(sizes_gb=(1.0,))
-    assert memory_point.n == 0
-    assert memory_point.fmt_mean(".2f") == "n/a"
+    (memory_point,) = study.sweep("memory", values=(1.0,))
+    assert memory_point.plt.n == 0
+    assert memory_point.plt.fmt_mean(".2f") == "n/a"
+    assert memory_point.scripting_share == 0.0
     # No surviving sample on either side: no slowdown factor to report.
     assert study.category_clock_sensitivity() == {}
 
@@ -44,13 +57,23 @@ def test_an_empty_page_selection_stays_empty():
     assert study.plt_summary(NEXUS4, "all", governor="OD").n == 3
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda: WebStudy(WebStudyConfig(n_pages=1, trials=1)).sweep(
+        "clock", values=()),
+    lambda: VideoStudy(VideoStudyConfig(trials=1)).sweep("cores", values=()),
+    lambda: RtcStudy(RtcStudyConfig(trials=1)).sweep("devices", values=[]),
+    lambda: throughput_vs_clock(ladder=()),
+], ids=["web-clock", "video-cores", "rtc-devices", "iperf-ladder"])
+def test_an_empty_value_list_sweeps_nothing(sweep):
+    # Only None means "the axis default"; () must not run the whole ladder.
+    assert sweep() == []
+
+
 def test_cli_renders_empty_points_as_na(monkeypatch, capsys):
     empty = summarize([])
-    monkeypatch.setattr(WebStudy, "plt_vs_memory",
-                        lambda self: [(1.0, empty)])
-    monkeypatch.setattr(WebStudy, "plt_vs_cores", lambda self: [(1, empty)])
-    monkeypatch.setattr(WebStudy, "plt_vs_governor",
-                        lambda self: [("OD", empty)])
+    monkeypatch.setattr(WebStudy, "sweep", lambda self, axis: [
+        PageLoadPoint({"memory": 1.0, "cores": 1, "governor": "OD"}[axis],
+                      empty, empty, empty, 0.0, 0.0)])
     assert cli.main(["fig3bcd", "--pages", "1"]) == 0
     out = capsys.readouterr().out
     assert "n/a" in out and "0.00" not in out

@@ -17,12 +17,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.studies import (
+    RtcStudy,
+    RtcStudyConfig,
     VideoStudy,
     VideoStudyConfig,
     WebStudy,
     WebStudyConfig,
 )
 from repro.device.catalog import GIONEE_F103, GALAXY_S6_EDGE, INTEX_AMAZE, PIXEL2
+from repro.rtc import CallConfig
 from repro.video import VideoSpec
 
 #: Four rungs of the Nexus 4 DVFS ladder (Fig 3a's x-axis, thinned).
@@ -35,15 +38,37 @@ def web_study() -> WebStudy:
     return WebStudy(WebStudyConfig(n_pages=5, trials=1))
 
 
+@pytest.fixture(scope="module")
+def sweep(web_study):
+    """``sweep(app, axis, values)`` → points by label, each sweep run once."""
+    studies = {
+        "web": web_study,
+        "video": VideoStudy(VideoStudyConfig(
+            clip=VideoSpec(duration_s=20.0), trials=1)),
+        "rtc": RtcStudy(RtcStudyConfig(
+            call=CallConfig(call_duration_s=10), trials=1)),
+    }
+    memo: dict = {}
+
+    def run(app, axis, values):
+        key = (app, axis, tuple(values))
+        if key not in memo:
+            memo[key] = {point.label: point for point in
+                         studies[app].sweep(axis, values=values)}
+        return memo[key]
+
+    return run
+
+
 # -- Fig 2a: PLT across Table 1 devices -------------------------------------
 
 
 def test_fig2a_device_ordering(web_study):
     """Low-end loads slower than mid-range, mid-range slower than flagship."""
     by_name = {
-        spec.name: summary.mean
-        for spec, summary in web_study.qoe_across_devices(
-            (INTEX_AMAZE, GIONEE_F103, PIXEL2))
+        point.label: point.plt.mean
+        for point in web_study.sweep(
+            "devices", values=(INTEX_AMAZE, GIONEE_F103, PIXEL2))
     }
     assert by_name[INTEX_AMAZE.name] > by_name[GIONEE_F103.name]
     assert by_name[GIONEE_F103.name] > by_name[PIXEL2.name]
@@ -51,21 +76,15 @@ def test_fig2a_device_ordering(web_study):
 
 def test_fig2a_low_end_factor(web_study):
     """The Intex-to-Pixel2 gap stays severalfold (≈4× at full scale)."""
-    results = dict(
-        (spec.name, summary.mean)
-        for spec, summary in web_study.qoe_across_devices(
-            (INTEX_AMAZE, PIXEL2))
-    )
+    results = {point.label: point.plt.mean for point in web_study.sweep(
+        "devices", values=(INTEX_AMAZE, PIXEL2))}
     assert results[INTEX_AMAZE.name] >= 3.0 * results[PIXEL2.name]
 
 
 def test_fig2a_price_inversion(web_study):
     """Pixel2 beats the pricier S6-edge (the paper's cost!=QoE point)."""
-    results = dict(
-        (spec.name, summary.mean)
-        for spec, summary in web_study.qoe_across_devices(
-            (GALAXY_S6_EDGE, PIXEL2))
-    )
+    results = {point.label: point.plt.mean for point in web_study.sweep(
+        "devices", values=(GALAXY_S6_EDGE, PIXEL2))}
     assert results[PIXEL2.name] < results[GALAXY_S6_EDGE.name]
     assert PIXEL2.cost_usd < GALAXY_S6_EDGE.cost_usd
 
@@ -75,24 +94,24 @@ def test_fig2a_price_inversion(web_study):
 
 def test_fig3a_clock_monotonicity(web_study):
     """PLT falls monotonically as the pinned clock rises."""
-    points = web_study.plt_vs_clock(ladder=CLOCK_LADDER)
-    assert [p.clock_mhz for p in points] == list(CLOCK_LADDER)
+    points = web_study.sweep("clock", values=CLOCK_LADDER)
+    assert [p.label for p in points] == list(CLOCK_LADDER)
     means = [p.plt.mean for p in points]
     assert all(earlier > later for earlier, later in zip(means, means[1:]))
 
 
 def test_fig3a_clock_factor(web_study):
     """Bottom-to-top of the ladder costs at least 3× PLT (3.2× at scale)."""
-    points = web_study.plt_vs_clock(ladder=(CLOCK_LADDER[0],
-                                            CLOCK_LADDER[-1]))
+    points = web_study.sweep("clock", values=(CLOCK_LADDER[0],
+                                              CLOCK_LADDER[-1]))
     slowest, fastest = points[0].plt.mean, points[-1].plt.mean
     assert slowest >= 3.0 * fastest
 
 
 def test_fig3a_decomposition_shifts_to_compute(web_study):
     """At the lowest clock the load is compute-bound, not network-bound."""
-    points = web_study.plt_vs_clock(ladder=(CLOCK_LADDER[0],
-                                            CLOCK_LADDER[-1]))
+    points = web_study.sweep("clock", values=(CLOCK_LADDER[0],
+                                              CLOCK_LADDER[-1]))
     low = points[0]
     assert low.compute_time.mean > low.network_time.mean
 
@@ -102,19 +121,66 @@ def test_fig3a_decomposition_shifts_to_compute(web_study):
 
 def test_fig3d_powersave_penalty(web_study):
     """Powersave pays a clear PLT penalty over ondemand (+42% at scale)."""
-    by_governor = dict(web_study.plt_vs_governor(governors=("OD", "PW")))
+    by_governor = {point.label: point.plt for point in web_study.sweep(
+        "governor", values=("OD", "PW"))}
     assert by_governor["PW"].mean >= 1.15 * by_governor["OD"].mean
+
+
+# -- Figs 3b, 3c, 4a, 5a: one resource, two ends of its axis -----------------
+
+#: (app, axis, metric, a, b, ratio bounds): the paper's coarse factor
+#: metric(a) / metric(b).  Measured at this scale: 1.93, 1.28, 3.49,
+#: 3.88 and 1.75.
+FACTORS = [
+    # Fig 3b: PLT roughly doubles at 512 MB.
+    pytest.param("web", "memory", "plt", 0.5, 2.0, (1.5, 3.0),
+                 id="fig3b-memory"),
+    # Fig 3c: one core costs a modest slowdown; the browser uses two.
+    pytest.param("web", "cores", "plt", 1, 4, (1.1, 1.6), id="fig3c-cores"),
+    # Fig 4a: start-up is compute-bound (1.2→3.5 s in the paper).
+    pytest.param("video", "clock", "startup", 384, 1512, (2.0, 5.0),
+                 id="fig4a-startup"),
+    # Fig 5a: call setup scales with the clock ratio 1512/384 ≈ 3.9 ...
+    pytest.param("rtc", "clock", "setup_delay", 384, 1512, (3.0, 5.0),
+                 id="fig5a-setup"),
+    # ... and frame rate falls 30 → ~17 fps.
+    pytest.param("rtc", "clock", "frame_rate", 1512, 384, (1.4, 2.2),
+                 id="fig5a-fps"),
+]
+
+
+@pytest.mark.parametrize("app, axis, metric, a, b, bounds", FACTORS)
+def test_resource_axis_factor(sweep, app, axis, metric, a, b, bounds):
+    points = sweep(app, axis, sorted((a, b)))
+    ratio = (getattr(points[a], metric).mean
+             / getattr(points[b], metric).mean)
+    low, high = bounds
+    assert low <= ratio <= high
+
+
+def test_fig4a_clock_never_stalls(sweep):
+    """§3.2: the read-ahead buffer hides a slow clock from playback."""
+    points = sweep("video", "clock", [384, 1512])
+    assert all(p.stall_ratio.mean < 0.03 for p in points.values())
+
+
+def test_fig4c_single_core_stalls(sweep):
+    """One core is the one case video stalls (~15% at full scale)."""
+    points = sweep("video", "cores", [1, 4])
+    assert points[1].stall_ratio.mean > 0.08
+    assert points[4].stall_ratio.mean < 0.02
+
+
+def test_fig5a_high_clock_holds_30fps(sweep):
+    points = sweep("rtc", "clock", [384, 1512])
+    assert points[1512].frame_rate.mean == pytest.approx(30, abs=2)
 
 
 # -- Fig 2b: video startup across devices ------------------------------------
 
 
-def test_fig2b_startup_ordering():
+def test_fig2b_startup_ordering(sweep):
     """Start-up latency orders low-end > flagship, severalfold apart."""
-    study = VideoStudy(VideoStudyConfig(
-        clip=VideoSpec(duration_s=20.0), trials=1))
-    points = {
-        point.label: point.startup.mean
-        for point in study.qoe_across_devices((INTEX_AMAZE, PIXEL2))
-    }
-    assert points[INTEX_AMAZE.name] > 2.0 * points[PIXEL2.name]
+    points = sweep("video", "devices", (INTEX_AMAZE, PIXEL2))
+    assert (points[INTEX_AMAZE.name].startup.mean
+            > 2.0 * points[PIXEL2.name].startup.mean)

@@ -44,17 +44,17 @@ def rtc_study():
 
 
 def test_fig2a_device_spread(web_study):
-    rows = web_study.qoe_across_devices(
-        [by_name("Intex Amaze+"), by_name("Google Pixel2")]
+    rows = web_study.sweep(
+        "devices", values=[by_name("Intex Amaze+"), by_name("Google Pixel2")]
     )
-    intex, pixel = rows[0][1], rows[1][1]
+    intex, pixel = rows[0].plt, rows[1].plt
     assert 3.0 < intex.mean / pixel.mean < 6.0
     assert intex.stdev > pixel.stdev  # bigger error bars on the low end
 
 
 def test_fig2b_video_devices(video_study):
-    points = video_study.qoe_across_devices(
-        [by_name("Intex Amaze+"), by_name("Google Pixel2")]
+    points = video_study.sweep(
+        "devices", values=[by_name("Intex Amaze+"), by_name("Google Pixel2")]
     )
     intex, pixel = points
     assert intex.startup.mean > 2 * pixel.startup.mean
@@ -63,8 +63,8 @@ def test_fig2b_video_devices(video_study):
 
 
 def test_fig2c_rtc_devices(rtc_study):
-    points = rtc_study.qoe_across_devices(
-        [by_name("Intex Amaze+"), by_name("Google Pixel2")]
+    points = rtc_study.sweep(
+        "devices", values=[by_name("Intex Amaze+"), by_name("Google Pixel2")]
     )
     intex, pixel = points
     assert pixel.frame_rate.mean == pytest.approx(30, abs=2)
@@ -75,10 +75,10 @@ def test_fig2c_rtc_devices(rtc_study):
 
 
 def test_fig3a_web_clock_sweep(web_study):
-    points = web_study.plt_vs_clock(ladder=(384, 810, 1512))
-    plts = {p.clock_mhz: p.plt.mean for p in points}
+    points = web_study.sweep("clock", values=(384, 810, 1512))
+    plts = {p.label: p.plt.mean for p in points}
     assert 2.5 < plts[384] / plts[1512] < 5.0
-    nets = {p.clock_mhz: p.network_time.mean for p in points}
+    nets = {p.label: p.network_time.mean for p in points}
     assert nets[384] > 1.3 * nets[1512]
     shares = [p.scripting_share for p in points]
     assert all(0.35 < s < 0.75 for s in shares)
@@ -87,18 +87,20 @@ def test_fig3a_web_clock_sweep(web_study):
 
 
 def test_fig3b_memory(web_study):
-    rows = dict(web_study.plt_vs_memory(sizes_gb=(0.5, 2.0)))
+    rows = {p.label: p.plt for p in web_study.sweep("memory",
+                                                     values=(0.5, 2.0))}
     assert 1.4 < rows[0.5].mean / rows[2.0].mean < 3.0
 
 
 def test_fig3c_cores(web_study):
-    rows = dict(web_study.plt_vs_cores(cores=(1, 2, 4)))
+    rows = {p.label: p.plt for p in web_study.sweep("cores",
+                                                     values=(1, 2, 4))}
     assert rows[2].mean < 1.3 * rows[4].mean  # beyond 2 cores: no gain
     assert rows[1].mean > 1.1 * rows[4].mean
 
 
 def test_fig3d_governors(web_study):
-    rows = dict(web_study.plt_vs_governor())
+    rows = {p.label: p.plt for p in web_study.sweep("governor")}
     assert rows["PW"].mean > 1.3 * rows["PF"].mean
     assert rows["OD"].mean < 1.3 * rows["PF"].mean
     assert rows["IN"].mean < 1.3 * rows["PF"].mean
@@ -114,14 +116,14 @@ def test_sec31_categories_sensitivity(web_study):
 
 
 def test_fig4a_video_clock(video_study):
-    points = video_study.vs_clock(ladder=(384, 1512))
+    points = video_study.sweep("clock", values=(384, 1512))
     low, high = points[0], points[1]
     assert low.startup.mean > 1.8 * high.startup.mean
     assert low.stall_ratio.mean < 0.03  # zero stalls at low clock
 
 
 def test_fig4c_video_cores(video_study):
-    points = video_study.vs_cores(cores=(1, 4))
+    points = video_study.sweep("cores", values=(1, 4))
     one, four = points
     assert one.stall_ratio.mean > 0.08
     assert four.stall_ratio.mean < 0.02
@@ -129,7 +131,7 @@ def test_fig4c_video_cores(video_study):
 
 
 def test_fig5a_rtc_clock(rtc_study):
-    points = rtc_study.vs_clock(ladder=(384, 1512))
+    points = rtc_study.sweep("clock", values=(384, 1512))
     low, high = points
     assert high.frame_rate.mean == pytest.approx(30, abs=2)
     assert 14 < low.frame_rate.mean < 22
@@ -137,7 +139,7 @@ def test_fig5a_rtc_clock(rtc_study):
 
 
 def test_fig5c_rtc_cores(rtc_study):
-    points = rtc_study.vs_cores(cores=(1, 4))
+    points = rtc_study.sweep("cores", values=(1, 4))
     one, four = points
     assert one.frame_rate.mean < 0.7 * four.frame_rate.mean
 
