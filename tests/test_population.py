@@ -16,6 +16,7 @@ The load-bearing guarantees, in test order:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -371,6 +372,40 @@ def test_half_warm_cache_prints_the_cold_aggregate(tmp_path):
     half = TrialCache(tmp_path / "cache")
     assert FleetRunner(config, cache=half).run().to_json() == cold
     assert half.stats.hits == 30 and half.stats.misses == 30
+
+
+@pytest.fixture(scope="module")
+def filled_fleet_cache(tmp_path_factory):
+    """A cache holding every session of ``small_config()``."""
+    root = tmp_path_factory.mktemp("fleet-cache")
+    FleetRunner(small_config(), cache=TrialCache(root)).run()
+    return root
+
+
+def _changed_page(runner: FleetRunner) -> None:
+    first = runner.corpus[0]
+    runner.corpus = (dataclasses.replace(
+        first, layout_ops=first.layout_ops * 2), *runner.corpus[1:])
+
+
+@pytest.mark.parametrize("config, edit, hits", (
+    (small_config(), None, SMALL["sessions"]),
+    (small_config(), _changed_page, 0),
+    (dataclasses.replace(small_config(), call_s=SMALL["call_s"] + 1.0),
+     None, 0),
+), ids=("unchanged", "corpus-page", "config-field"))
+def test_warm_fleet_cache_misses_every_session_a_key_input_changes(
+        filled_fleet_cache, config, edit, hits):
+    # The session task's config and corpus are its key parameters: one
+    # changed page or field must re-run every session, nothing changed
+    # must replay every session.
+    cache = TrialCache(filled_fleet_cache)
+    runner = FleetRunner(config, cache=cache)
+    if edit is not None:
+        edit(runner)
+    runner.run()
+    assert cache.stats.hits == hits
+    assert cache.stats.misses == SMALL["sessions"] - hits
 
 
 def test_aggregate_state_is_independent_of_session_count():
