@@ -6,9 +6,11 @@ Layout under the cache root (``--cache DIR`` / ``REPRO_CACHE``)::
     <root>/objects/<aa>/<digest>.cache.json     one entry per trial
 
 Each entry is keyed by :func:`~repro.cache.keys.trial_key` — a digest of
-``(experiment, trial index, derived seed, canonical params, code
-fingerprint)`` — so a hit means "this exact code would recompute this
-exact trial."  Two payload kinds cover the two execution layers:
+``(experiment, trial index, derived seed, params digest, code
+fingerprint)``, where the params digest is the SHA-256 of the sweep's
+canonical task and extras, computed once per sweep by
+:class:`TrialKeyer` — so a hit means "this exact code would recompute
+this exact trial."  Two payload kinds cover the two execution layers:
 
 * ``"record"`` — a journal row (:class:`~repro.core.experiments.
   TrialRecord` minus host timing); replaying it reproduces journal bytes
@@ -43,7 +45,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.cache.fingerprint import code_fingerprint
-from repro.cache.keys import Uncacheable, canonicalize, trial_key
+from repro.cache.keys import (
+    Uncacheable,
+    canonical_digest,
+    canonicalize,
+    trial_key,
+)
 
 #: Entry schema version; a mismatch reads as a miss, never an error.
 CACHE_VERSION = 1
@@ -255,16 +262,18 @@ PICKLE_CODEC = Codec(KIND_PICKLE, encode_result,
 
 @dataclass
 class TrialKeyer:
-    """Per-sweep binding of (cache, experiment, canonical params, code).
+    """Per-sweep binding of (cache, experiment, params digest, code).
 
-    Canonicalizing the task and fingerprinting its code once per sweep —
-    not once per trial — keeps the per-trial cost to one SHA-256 over a
-    small document.
+    Canonicalizing the task, hashing it into ``params`` and
+    fingerprinting its code once per sweep — not once per trial — keeps
+    the per-trial cost to one SHA-256 over a document of a few hundred
+    bytes, however large the task.
     """
 
     cache: TrialCache
     experiment: str
-    params: Any
+    #: SHA-256 hex digest of the canonical ``{"task", "extra"}`` params.
+    params: str
     fingerprint: str
     codec: Codec = PICKLE_CODEC
 
@@ -288,8 +297,8 @@ class TrialKeyer:
         try:
             fingerprint = code_fingerprint((task, *code_extra)
                                            if code_extra else task)
-            params = {"task": canonicalize(task),
-                      "extra": canonicalize(extra)}
+            params = canonical_digest({"task": canonicalize(task),
+                                       "extra": canonicalize(extra)})
         except Uncacheable:
             cache.stats.uncacheable += 1
             return None

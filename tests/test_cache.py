@@ -15,6 +15,7 @@ The contracts under test, in dependency order:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,7 @@ from repro.cache import (
     resolve_cache,
     trial_key,
 )
+from repro.cache import keys as cache_keys
 from repro.core.pipeline import cached_map, dispatch
 from repro.device import NEXUS4
 from repro.parallel import SerialExecutor
@@ -438,3 +440,51 @@ def test_trial_keyer_disables_caching_for_uncacheable_extras(tmp_path):
                               extra={"unstable": object()})
     assert keyer is None
     assert cache.stats.uncacheable == 1
+
+
+def test_entry_keyed_by_the_version_1_derivation_reads_as_a_miss(tmp_path):
+    # Version 1 hashed the whole canonical params into every trial key;
+    # an entry a store of that era holds must recompute, not replay.
+    cache = TrialCache(tmp_path)
+    task = ScaleTask(scale=2)
+    keyer = TrialKeyer.create(cache, task, experiment="e")
+    old_payload = ["trialkey", 1, "e", 0, canonicalize(7),
+                   {"task": canonicalize(task), "extra": None},
+                   keyer.fingerprint]
+    old_key = hashlib.sha256(
+        canonical_json(old_payload).encode("utf-8")).hexdigest()
+    assert old_key != keyer.key(0, 7)
+    cache.put(old_key, experiment="e", trial=0, kind=KIND_PICKLE,
+              payload=encode_result(99), fingerprint=keyer.fingerprint)
+    CALLS.clear()
+    assert cached_map(attached(cache), task, [7], experiment="e") == [14]
+    assert CALLS == [7]
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+
+@dataclass(frozen=True)
+class BulkyTask:
+    """A task whose canonical form is far larger than any trial key."""
+
+    pages: tuple
+
+    def __call__(self, seed: int) -> int:
+        return seed
+
+
+def test_trial_keys_hash_small_documents_for_a_large_task(tmp_path,
+                                                           monkeypatch):
+    task = BulkyTask(pages=tuple(f"page-{i:06d}" for i in range(10_000)))
+    assert len(canonical_json(canonicalize(task))) > 100_000
+    keyer = TrialKeyer.create(TrialCache(tmp_path), task, experiment="e")
+    sizes = []
+
+    def recording(value):
+        text = canonical_json(value)
+        sizes.append(len(text))
+        return text
+
+    monkeypatch.setattr(cache_keys, "canonical_json", recording)
+    keys = {keyer.key(trial, trial * 31) for trial in range(5)}
+    assert len(keys) == 5
+    assert len(sizes) == 5 and max(sizes) < 1_000
