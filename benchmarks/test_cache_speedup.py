@@ -1,4 +1,4 @@
-"""Cold vs warm sweep through the content-addressed trial cache.
+"""Cold vs warm sweeps through the content-addressed trial cache.
 
 Runs the same kernel-heavy trial batch twice against one ``--cache``
 directory: the cold pass executes and stores every trial, the warm pass
@@ -6,6 +6,10 @@ must replay every one from the store without touching the executor.  The
 trajectory (``cache.speedup.*``) feeds the perf budget check in CI, and
 the byte-identity assertion is the cache's core guarantee — warmth must
 be invisible in the journal.
+
+The fleet case does the same for a population run
+(``cache.fleet_replay.*``), whose session task carries the whole page
+corpus: a replay there is dominated by key derivation, not the store.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ import time
 from repro.cache import TrialCache
 from repro.core.background import make_rng
 from repro.core.experiments import RobustTrialRunner
+from repro.population import FleetRunner, PopulationConfig
 from repro.sim import Environment
 
 TRIALS = 6
+FLEET_SESSIONS = 50
+#: Warm replays timed; the fastest is recorded (each is ~tens of ms).
+FLEET_REPLAYS = 5
 
 
 def kernel_heavy_trial(seed: int) -> float:
@@ -75,3 +83,37 @@ def test_cache_speedup(tmp_path, fig_printer, perf_track):
     # A replay is a key derivation plus a JSON read; well under the cold
     # cost of ~0.3s of kernel work per trial.
     assert warm_s < cold_s / 4
+
+
+def timed_fleet_run(config, cache) -> tuple:
+    runner = FleetRunner(config, cache=cache)
+    start = time.perf_counter()  # simlint: disable=DET001
+    aggregate = runner.run().to_json()
+    elapsed = time.perf_counter() - start  # simlint: disable=DET001
+    return elapsed, aggregate
+
+
+def test_fleet_cache_replay(tmp_path, fig_printer, perf_track):
+    config = PopulationConfig(sessions=FLEET_SESSIONS, seed=1)
+    cold_s, cold = timed_fleet_run(config, TrialCache(tmp_path))
+    warm_runs = []
+    for _ in range(FLEET_REPLAYS):
+        cache = TrialCache(tmp_path)
+        warm_s, warm = timed_fleet_run(config, cache)
+        # Every session replayed, nothing recomputed, same bytes.
+        assert cache.stats.hit_ratio == 1.0
+        assert cache.stats.stores == 0
+        assert warm == cold
+        warm_runs.append((warm_s, cache.stats))
+    warm_s, warm_stats = min(warm_runs, key=lambda run: run[0])
+
+    perf_track("cache.fleet_replay.cold_s", cold_s, sessions=FLEET_SESSIONS)
+    perf_track("cache.fleet_replay.warm_s", warm_s, sessions=FLEET_SESSIONS,
+               replays=FLEET_REPLAYS)
+    body = "\n".join([
+        f"sessions          {FLEET_SESSIONS}",
+        f"cold (simulate)   {cold_s:8.3f} s",
+        f"warm (replay)     {warm_s:8.3f} s   {warm_stats.line()}",
+        f"per session       {warm_s / FLEET_SESSIONS * 1e3:8.3f} ms",
+    ])
+    fig_printer("Result cache: fleet cold fill vs warm replay", body)

@@ -23,6 +23,7 @@ from repro.core.studies import (
     VideoStudyConfig,
     WebStudy,
     WebStudyConfig,
+    throughput_vs_clock,
 )
 from repro.device.catalog import GIONEE_F103, GALAXY_S6_EDGE, INTEX_AMAZE, PIXEL2
 from repro.rtc import CallConfig
@@ -184,3 +185,22 @@ def test_fig2b_startup_ordering(sweep):
     points = sweep("video", "devices", (INTEX_AMAZE, PIXEL2))
     assert (points[INTEX_AMAZE.name].startup.mean
             > 2.0 * points[PIXEL2.name].startup.mean)
+
+
+# -- Fig 6: iperf throughput vs CPU clock ------------------------------------
+
+
+def test_fig6_throughput_is_cpu_bound_below_600mhz():
+    """Throughput climbs with the clock, then the link caps it (≈48 Mbps).
+
+    Measured over the whole Nexus 4 ladder: 32.2 Mbps at 384 MHz, then a
+    flat 48.4 Mbps from the 594 MHz rung up.
+    """
+    points = throughput_vs_clock()
+    mbps = [p.throughput_mbps for p in points]
+    assert all(earlier <= later for earlier, later in zip(mbps, mbps[1:]))
+    assert points[0].clock_mhz == 384
+    assert 28.0 <= mbps[0] <= 36.0
+    plateau = [p.throughput_mbps for p in points if p.clock_mhz >= 594]
+    assert len(plateau) >= 9
+    assert min(plateau) >= 45.0
