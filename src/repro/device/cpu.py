@@ -19,14 +19,11 @@ governor's sampling loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from repro.obs import metrics_of, tracer_of
 from repro.sim import Environment, Event, Process, Resource
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.device.energy import EnergyMeter
 
 #: Scheduler quantum in seconds.  Small enough that second-scale metrics are
 #: insensitive to it, large enough to keep the event count manageable.
@@ -69,7 +66,13 @@ class ClusterSpec:
 
 
 class Cluster:
-    """Runtime state of one cluster: current frequency and busy accounting."""
+    """Runtime state of one cluster: current frequency and busy accounting.
+
+    Busy core-seconds are kept both in total (the governors' utilization
+    signal) and per ladder step (``busy_s_by_step``), which is all an
+    :class:`~repro.device.energy.EnergyMeter` needs to price energy when
+    it is read.
+    """
 
     def __init__(self, env: Environment, spec: ClusterSpec, online_cores: int):
         if not 0 <= online_cores <= spec.n_cores:
@@ -82,26 +85,14 @@ class Cluster:
         self._thermal_cap_index: Optional[int] = None
         self._busy = 0  # number of cores currently executing a task
         self._busy_time = 0.0  # integrated core-busy seconds
+        self._busy_s_by_step = [0.0] * len(spec.freqs_mhz)
         self._last_change = env.now
+        self._rate_hz = self._step_rate_hz(self._freq_index)
+        # Offline cores are modelled by the pool's capacity.
         self.pool = Resource(env, capacity=max(online_cores, 1))
-        self._observers: list[Callable[["Cluster"], None]] = []
         self._tracer = tracer_of(env)
         self._m_transitions = metrics_of(env).counter(
             "device.dvfs.transitions")
-        if online_cores > 0:
-            self._reserve_offline(spec.n_cores - online_cores)
-
-    def _reserve_offline(self, count: int) -> None:
-        # Offline cores are modelled by shrinking the pool capacity.
-        self.pool.capacity = self.online_cores
-
-    def add_observer(self, callback: Callable[["Cluster"], None]) -> None:
-        """Register a callback invoked on every busy/frequency transition."""
-        self._observers.append(callback)
-
-    def _notify(self) -> None:
-        for callback in self._observers:
-            callback(self)
 
     @property
     def freq_index(self) -> int:
@@ -113,10 +104,6 @@ class Cluster:
         return self.spec.freqs_mhz[self._freq_index]
 
     @property
-    def freq_hz(self) -> float:
-        return self.freq_mhz * MHZ
-
-    @property
     def busy_cores(self) -> int:
         """Number of cores currently running a task."""
         return self._busy
@@ -124,7 +111,10 @@ class Cluster:
     @property
     def rate_hz(self) -> float:
         """Effective instruction rate of one core (freq × IPC)."""
-        return self.freq_hz * self.spec.ipc
+        return self._rate_hz
+
+    def _step_rate_hz(self, index: int) -> float:
+        return self.spec.freqs_mhz[index] * MHZ * self.spec.ipc
 
     @property
     def thermal_cap_index(self) -> Optional[int]:
@@ -155,12 +145,12 @@ class Cluster:
         if index != self._freq_index:
             self._account()
             self._freq_index = index
+            self._rate_hz = self._step_rate_hz(index)
             self._m_transitions.inc()
             self._tracer.instant(
                 "device.dvfs.step", "device",
                 args={"cluster": self.spec.name, "mhz": self.freq_mhz},
             )
-            self._notify()
 
     def set_freq_mhz(self, mhz: float) -> None:
         """Pin the cluster to the smallest ladder step ≥ ``mhz``."""
@@ -172,7 +162,10 @@ class Cluster:
 
     def _account(self) -> None:
         now = self.env.now
-        self._busy_time += self._busy * (now - self._last_change)
+        if self._busy:
+            busy_s = self._busy * (now - self._last_change)
+            self._busy_time += busy_s
+            self._busy_s_by_step[self._freq_index] += busy_s
         self._last_change = now
 
     def mark_busy(self, delta: int) -> None:
@@ -181,12 +174,16 @@ class Cluster:
         self._busy += delta
         if self._busy < 0:
             raise RuntimeError("busy core count went negative")
-        self._notify()
 
     def busy_time(self) -> float:
         """Total integrated core-busy seconds since creation."""
         self._account()
         return self._busy_time
+
+    def busy_s_by_step(self) -> list[float]:
+        """Core-busy seconds so far at each ladder step (index = step)."""
+        self._account()
+        return list(self._busy_s_by_step)
 
     def utilization_since(self, busy_snapshot: float, t_snapshot: float) -> float:
         """Busiest-core utilization in [0, 1] since a prior snapshot.
@@ -260,14 +257,6 @@ class CPU:
         """Total cores currently online across clusters."""
         return sum(cluster.online_cores for cluster in self.clusters)
 
-    @property
-    def max_rate_hz(self) -> float:
-        """Best single-core instruction rate at the ladder top."""
-        return max(
-            cluster.spec.max_mhz * MHZ * cluster.spec.ipc
-            for cluster in self.clusters
-        )
-
     def set_cycle_multiplier(self, factor: float) -> None:
         """Inflate all task cycle counts by ``factor`` (memory pressure)."""
         if factor < 1.0:
@@ -296,25 +285,19 @@ class CPU:
                     cap = index
             cluster.set_thermal_cap_index(cap if fraction < 1.0 else None)
 
-    def set_all_freq_index(self, index: int) -> None:
-        for cluster in self.clusters:
-            cluster.set_freq_index(index)
-
-    def set_all_freq_mhz(self, mhz: float) -> None:
-        for cluster in self.clusters:
-            cluster.set_freq_mhz(mhz)
-
     def _pick_cluster(self) -> Cluster:
         """Cluster whose pool a new task should join.
 
         Prefer the fastest cluster with an idle core; fall back to the
         fastest cluster overall (its FIFO queue) when everything is busy.
         """
+        if len(self.clusters) == 1:
+            return self.clusters[0]
         candidates = [c for c in self.clusters if c.online_cores > 0]
-        for cluster in sorted(candidates, key=lambda c: -c.rate_hz):
+        for cluster in sorted(candidates, key=lambda c: -c._rate_hz):
             if cluster.pool.count < cluster.pool.capacity:
                 return cluster
-        return max(candidates, key=lambda c: c.rate_hz)
+        return max(candidates, key=lambda c: c._rate_hz)
 
     def submit(self, cycles: float, mem_stall: float = 0.0) -> CpuTask:
         """Run ``cycles`` of work; returns a handle whose ``done`` fires.
@@ -350,7 +333,7 @@ class CPU:
                     try:
                         while (remaining >= self._MIN_CYCLES
                                or stall_left >= self._MIN_STALL):
-                            rate = cluster.rate_hz
+                            rate = cluster._rate_hz
                             compute_left = remaining / rate
                             slice_time = min(self.quantum,
                                              compute_left + stall_left)

@@ -5,9 +5,10 @@ Standard CMOS dynamic-power model per core::
     P_core(f) = P_static + c · f · V(f)²
 
 with the rail voltage ``V(f)`` interpolated linearly across the DVFS ladder.
-The meter observes cluster busy/frequency transitions (via
-``Cluster.add_observer``) and integrates energy exactly between transitions,
-so samples never miss short bursts.
+Energy is priced when it is read: each cluster keeps its core-busy seconds
+per ladder step, so the meter sums busy seconds × the step's dynamic power,
+plus static power over the elapsed time.  Nothing is evaluated per busy or
+frequency transition, and short bursts are still counted exactly.
 
 The DSP draws a flat active power (a Hexagon-class aDSP runs a fixed
 clock domain); the CPU-vs-DSP *median power ratio of ~4×* in the paper's
@@ -50,56 +51,44 @@ class PowerSpec:
 
 
 class EnergyMeter:
-    """Integrates CPU energy over a simulation run.
+    """CPU energy and power of one device, computed on demand.
 
-    Attach one meter per device; it subscribes to every cluster and keeps a
-    per-cluster running integral.  ``power_now`` exposes the instantaneous
-    draw for power-trace experiments (Fig 7b).
+    ``energy_j`` prices every cluster's per-step busy seconds when read;
+    ``power_now`` is the instantaneous draw for power-trace experiments
+    (Fig 7b).
     """
 
     def __init__(self, env: Environment, cpu: CPU, power: PowerSpec):
         self.env = env
         self.cpu = cpu
         self.power = power
-        self._energy_j = 0.0
-        self._last = env.now
-        self._held_power = self._compute_power()
-        for cluster in cpu.clusters:
-            cluster.add_observer(self._on_transition)
+        self._start = env.now
 
-    def _cluster_power(self, cluster: Cluster) -> float:
+    def _active_power(self, cluster: Cluster, freq_mhz: float) -> float:
         spec = cluster.spec
-        active = self.power.dynamic_power(cluster.freq_mhz, spec.min_mhz, spec.max_mhz)
-        return (
-            cluster.busy_cores * active
-            + cluster.online_cores * self.power.static_w
-        )
-
-    def _compute_power(self) -> float:
-        return sum(self._cluster_power(cluster) for cluster in self.cpu.clusters)
+        return self.power.dynamic_power(freq_mhz, spec.min_mhz, spec.max_mhz)
 
     @property
     def power_now(self) -> float:
         """Instantaneous CPU power draw in watts."""
-        return self._compute_power()
-
-    def _on_transition(self, cluster: Cluster) -> None:
-        # The observer fires *after* a state change; the interval since the
-        # previous transition ran at the power level held before it.
-        self._integrate()
-        self._held_power = self._compute_power()
-
-    def _integrate(self) -> None:
-        now = self.env.now
-        if now > self._last:
-            self._energy_j += self._held_power * (now - self._last)
-        self._last = now
+        return sum(
+            cluster.busy_cores * self._active_power(cluster, cluster.freq_mhz)
+            + cluster.online_cores * self.power.static_w
+            for cluster in self.cpu.clusters
+        )
 
     @property
     def energy_j(self) -> float:
         """Total energy in joules up to the current simulated time."""
-        self._integrate()
-        return self._energy_j
+        elapsed = self.env.now - self._start
+        joules = 0.0
+        for cluster in self.cpu.clusters:
+            for freq_mhz, busy_s in zip(cluster.spec.freqs_mhz,
+                                        cluster.busy_s_by_step()):
+                if busy_s:
+                    joules += busy_s * self._active_power(cluster, freq_mhz)
+            joules += cluster.online_cores * self.power.static_w * elapsed
+        return joules
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,8 @@ class Event:
     waiter immediately (at the current simulated time).
     """
 
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled")
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
@@ -148,14 +150,22 @@ class Event:
 class Timeout(Event):
     """An event that fires after ``delay`` units of simulated time."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
+        # The most frequent event: set every field and push the heap entry
+        # here rather than through Event.__init__ and Environment.schedule.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = True
+        self.delay = delay
+        heapq.heappush(env._queue,
+                       (env._now + delay, PRIORITY_NORMAL, env._sequence, self))
+        env._sequence += 1
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -385,7 +395,7 @@ class Environment:
 
     @property
     def steps_processed(self) -> int:
-        """Total events processed by :meth:`step` since creation."""
+        """Total events dispatched since creation."""
         return self._steps_total
 
     @property
@@ -487,16 +497,31 @@ class Environment:
         """Process the single next event."""
         if not self._queue:
             raise SimulationError("no more events")
-        self._now, _, _, event = heapq.heappop(self._queue)
-        self._steps_total += 1
-        if self._steps_counter is not None:
-            self._steps_counter.inc()
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if self._crashed:
-            process, error = self._crashed.pop()
-            raise error
+        self._dispatch(None, float("inf"), 1)
+
+    def _dispatch(self, stop: Optional[Event], horizon: float,
+                  budget: float) -> int:
+        """The kernel's one event loop; returns the events dispatched.
+
+        Stops once ``stop`` (if given) is processed, the list drains, the
+        next event lies past ``horizon``, or ``budget`` events have run.
+        """
+        queue = self._queue
+        steps = 0
+        while (queue and steps < budget and queue[0][0] <= horizon
+               and (stop is None or stop.callbacks is not None)):
+            self._now, _, _, event = heapq.heappop(queue)
+            steps += 1
+            self._steps_total += 1
+            if self._steps_counter is not None:
+                self._steps_counter.inc()
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if self._crashed:
+                process, error = self._crashed.pop()
+                raise error
+        return steps
 
     def run(self, until: Optional[float | Event] = None,
             max_steps: Optional[int] = None) -> Any:
@@ -512,35 +537,31 @@ class Environment:
         """
         if max_steps is not None and max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        steps = 0
+        budget = float("inf") if max_steps is None else max_steps
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
-                if not self._queue:
-                    raise self._deadlock("the awaited event")
-                if max_steps is not None and steps >= max_steps:
-                    raise StepBudgetExceeded(
-                        f"step budget of {max_steps} events exhausted at "
-                        f"t={self._now:.6f} before the awaited event fired",
-                        now=self._now, steps=steps,
-                    )
-                self.step()
-                steps += 1
-            if stop._ok:
-                return stop._value
-            raise stop._value
+            steps = self._dispatch(stop, float("inf"), budget)
+            if stop.processed:
+                if stop._ok:
+                    return stop._value
+                raise stop._value
+            if not self._queue:
+                raise self._deadlock("the awaited event")
+            raise StepBudgetExceeded(
+                f"step budget of {max_steps} events exhausted at "
+                f"t={self._now:.6f} before the awaited event fired",
+                now=self._now, steps=steps,
+            )
         horizon = float("inf") if until is None else float(until)
         if horizon < self._now:
             raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            if max_steps is not None and steps >= max_steps:
-                raise StepBudgetExceeded(
-                    f"step budget of {max_steps} events exhausted at "
-                    f"t={self._now:.6f} (horizon {horizon})",
-                    now=self._now, steps=steps,
-                )
-            self.step()
-            steps += 1
+        steps = self._dispatch(None, horizon, budget)
+        if self._queue and self._queue[0][0] <= horizon:
+            raise StepBudgetExceeded(
+                f"step budget of {max_steps} events exhausted at "
+                f"t={self._now:.6f} (horizon {horizon})",
+                now=self._now, steps=steps,
+            )
         if horizon == float("inf") and self._live:
             raise self._deadlock("further progress")
         if horizon != float("inf"):

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.session import simulate
 from repro.device import Device, NEXUS4, PIXEL2, PowerSpec
-from repro.device.energy import DspPowerSpec
+from repro.device.energy import DspPowerSpec, EnergyMeter
+from repro.netstack import LinkSpec
+from repro.population import FleetRunner, PopulationConfig
 from repro.sim import Environment
+from repro.web import BrowserEngine
+from repro.workloads import generate_corpus
 
 
 def test_voltage_interpolation_bounds():
@@ -82,3 +87,72 @@ def test_dsp_power_spec_defaults():
     spec = DspPowerSpec()
     assert spec.active_w < 0.5
     assert spec.idle_w < spec.active_w
+
+
+def _probed_page_load(samples: list):
+    """OD-governed Pixel2 page load; ``samples`` gets (watts, busy, MHz)."""
+    page = generate_corpus(1)[0]
+
+    def program(env, device, link):
+        def probe():
+            while True:
+                clusters = device.cpu.clusters
+                samples.append((
+                    device.energy.power_now,
+                    sum(cluster.busy_cores for cluster in clusters),
+                    tuple(cluster.freq_mhz for cluster in clusters),
+                ))
+                yield env.timeout(0.005)
+
+        env.process(probe())
+        return BrowserEngine(env, device, link).load(page)
+
+    return simulate(Environment(), PIXEL2, LinkSpec(), 7, program,
+                    governor="OD")
+
+
+def test_energy_priced_on_read_matches_per_transition_integration():
+    """Same joules as integrating power at every busy/DVFS transition.
+
+    The reference value was recorded with a meter that re-evaluated
+    cluster power on each transition and integrated it between them.
+    """
+    samples: list = []
+    result = _probed_page_load(samples)
+    assert len({mhz for _, _, mhz in samples}) > 1  # the governor moved
+    assert result.energy_j == pytest.approx(1.8256652243890312, rel=1e-9)
+    busy_w = {watts for watts, busy, _ in samples if busy}
+    idle_w = {watts for watts, busy, _ in samples if not busy}
+    assert busy_w and idle_w
+    assert min(busy_w) > max(idle_w)
+
+
+def test_fleet_evaluates_power_only_when_energy_is_read(monkeypatch):
+    """No per-event metering: power is priced only inside an energy read."""
+    runner = FleetRunner(PopulationConfig(sessions=10, seed=1))
+    counts = {"reads": 0, "outside_reads": 0}
+    reading = False
+    dynamic_power = PowerSpec.dynamic_power
+    energy_j = EnergyMeter.energy_j.fget
+
+    def counted_power(self, *args):
+        if not reading:
+            counts["outside_reads"] += 1
+        return dynamic_power(self, *args)
+
+    def counted_energy(self):
+        nonlocal reading
+        counts["reads"] += 1
+        reading = True
+        try:
+            return energy_j(self)
+        finally:
+            reading = False
+
+    monkeypatch.setattr(PowerSpec, "dynamic_power", counted_power)
+    monkeypatch.setattr(EnergyMeter, "energy_j", property(counted_energy))
+    report = runner.run()
+    assert report.completed == 10
+    # Each app reads its device's energy once, when its session ends.
+    assert counts["reads"] == 10
+    assert counts["outside_reads"] == 0
