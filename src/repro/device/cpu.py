@@ -87,7 +87,9 @@ class Cluster:
         self._busy_time = 0.0  # integrated core-busy seconds
         self._busy_s_by_step = [0.0] * len(spec.freqs_mhz)
         self._last_change = env.now
-        self._rate_hz = self._step_rate_hz(self._freq_index)
+        #: Effective instruction rate of one core (freq × IPC), kept in
+        #: step with the ladder position by :meth:`set_freq_index`.
+        self.rate_hz = spec.freqs_mhz[self._freq_index] * MHZ * spec.ipc
         # Offline cores are modelled by the pool's capacity.
         self.pool = Resource(env, capacity=max(online_cores, 1))
         self._tracer = tracer_of(env)
@@ -107,14 +109,6 @@ class Cluster:
     def busy_cores(self) -> int:
         """Number of cores currently running a task."""
         return self._busy
-
-    @property
-    def rate_hz(self) -> float:
-        """Effective instruction rate of one core (freq × IPC)."""
-        return self._rate_hz
-
-    def _step_rate_hz(self, index: int) -> float:
-        return self.spec.freqs_mhz[index] * MHZ * self.spec.ipc
 
     @property
     def thermal_cap_index(self) -> Optional[int]:
@@ -145,7 +139,7 @@ class Cluster:
         if index != self._freq_index:
             self._account()
             self._freq_index = index
-            self._rate_hz = self._step_rate_hz(index)
+            self.rate_hz = self.spec.freqs_mhz[index] * MHZ * self.spec.ipc
             self._m_transitions.inc()
             self._tracer.instant(
                 "device.dvfs.step", "device",
@@ -294,10 +288,10 @@ class CPU:
         if len(self.clusters) == 1:
             return self.clusters[0]
         candidates = [c for c in self.clusters if c.online_cores > 0]
-        for cluster in sorted(candidates, key=lambda c: -c._rate_hz):
+        for cluster in sorted(candidates, key=lambda c: -c.rate_hz):
             if cluster.pool.count < cluster.pool.capacity:
                 return cluster
-        return max(candidates, key=lambda c: c._rate_hz)
+        return max(candidates, key=lambda c: c.rate_hz)
 
     def submit(self, cycles: float, mem_stall: float = 0.0) -> CpuTask:
         """Run ``cycles`` of work; returns a handle whose ``done`` fires.
@@ -333,7 +327,7 @@ class CPU:
                     try:
                         while (remaining >= self._MIN_CYCLES
                                or stall_left >= self._MIN_STALL):
-                            rate = cluster._rate_hz
+                            rate = cluster.rate_hz
                             compute_left = remaining / rate
                             slice_time = min(self.quantum,
                                              compute_left + stall_left)
