@@ -1,9 +1,9 @@
 """Trial running: the paper's repeat-20-times-report-mean/std methodology.
 
-A *trial function* builds a fresh simulation environment from a seed and
-returns one scalar or record.  Determinism: trial ``i`` of experiment
-``name`` always uses the same derived seed, so every figure regenerates
-bit-identically.
+A *trial function* is called as ``trial_fn(seed)``: it builds a fresh
+simulation environment from the seed and returns one scalar.
+Determinism: trial ``i`` of experiment ``name`` always uses the same
+derived seed, so every figure regenerates bit-identically.
 
 :class:`RobustTrialRunner` runs a trial function across seeded trials and
 summarizes.  It survives individual trial failures (crash, deadlock,
@@ -41,7 +41,6 @@ the CRC input (e.g. hash ``f"{experiment}:{trial}:{trial * 0x9E3779B9}"``)
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import time
@@ -63,7 +62,6 @@ from repro.core.pipeline import (
     dispatch,
     resolve_runlog,
 )
-from repro.obs import MetricsRegistry, merge_snapshots
 from repro.obs.runlog import RUNLOG_VERSION, RunLog, snapshot_digest
 from repro.parallel import Executor, SerialExecutor, SupervisionReport
 from repro.sim import StepBudgetExceeded
@@ -187,34 +185,18 @@ class RobustRunReport:
         """Mean ± std of the successful trials, failures counted alongside."""
         return summarize(self.values, failures=self.failures)
 
-    def merged_metrics(self) -> dict:
-        """Cross-trial merge of the per-trial registry snapshots.
-
-        Records are visited in trial order, so the merged snapshot is
-        identical for any executor / worker count (see
-        :func:`repro.obs.merge_snapshots` for the aggregation rules).
-        """
-        return merge_snapshots([
-            record.metrics
-            for record in sorted(self.records, key=lambda r: r.trial)
-            if record.metrics
-        ])
-
 
 class RobustTrialRunner:
-    """Seeded repetitions of a trial function: budgets, retries, journaling.
+    """Seeded repetitions of a trial function: retries, journaling.
 
     The paper repeats each workload 20 times; simulation trials converge
     much faster, so the default is smaller — pass ``trials=20`` for
     full-fidelity runs.
 
-    ``trial_fn`` receives the derived seed; if it accepts a second
-    parameter it also receives ``step_budget`` to pass into
-    ``Environment.run(..., max_steps=...)``.  If it declares a parameter
-    named ``metrics`` it receives a fresh
-    :class:`~repro.obs.MetricsRegistry` per attempt (pass it to
-    ``repro.obs.install(env, metrics=...)``); the registry's snapshot is
-    attached to the trial's journal record.  Each trial is attempted up to
+    ``trial_fn`` is called as ``trial_fn(seed)`` and nothing else; anything
+    else a trial needs (a kernel step budget, a fault plan) is a field of
+    the trial object, as in the sweep tasks of
+    :mod:`repro.core.studies.axes`.  Each trial is attempted up to
     ``max_attempts`` times — the first attempt on the canonical seed, each
     retry on a derived reseed (see :func:`derive_retry_seed`).  Failures
     are classified (crash / timeout / deadlock / error) and recorded, never
@@ -243,8 +225,6 @@ class RobustTrialRunner:
         trials: int = 5,
         experiment: str = "exp",
         max_attempts: int = 2,
-        step_budget: Optional[int] = None,
-        wall_budget_s: Optional[float] = None,
         journal_path: Optional[Union[str, Path]] = None,
         executor: Optional[Executor] = None,
         runlog: Optional[RunLog] = None,
@@ -254,15 +234,9 @@ class RobustTrialRunner:
             raise ValueError("need at least one trial")
         if max_attempts < 1:
             raise ValueError("need at least one attempt per trial")
-        if step_budget is not None and step_budget < 1:
-            raise ValueError("step budget must be at least 1")
-        if wall_budget_s is not None and wall_budget_s <= 0:
-            raise ValueError("wall budget must be positive")
         self.trials = trials
         self.experiment = experiment
         self.max_attempts = max_attempts
-        self.step_budget = step_budget
-        self.wall_budget_s = wall_budget_s
         self.journal_path = Path(journal_path) if journal_path else None
         self.executor = executor or SerialExecutor()
         self.runlog = runlog
@@ -324,39 +298,6 @@ class RobustTrialRunner:
 
     # -- execution --------------------------------------------------------
 
-    @staticmethod
-    def _wants_step_budget(trial_fn: Callable) -> bool:
-        try:
-            parameters = inspect.signature(trial_fn).parameters
-        except (TypeError, ValueError):
-            return False
-        positional = [
-            p for p in parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-            and p.name != "metrics"  # reserved for the registry protocol
-        ]
-        return len(positional) >= 2 or any(
-            p.kind == p.VAR_POSITIONAL for p in parameters.values()
-        )
-
-    @staticmethod
-    def _wants_metrics(trial_fn: Callable) -> bool:
-        try:
-            parameters = inspect.signature(trial_fn).parameters
-        except (TypeError, ValueError):
-            return False
-        parameter = parameters.get("metrics")
-        return parameter is not None and parameter.kind in (
-            parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY,
-        )
-
-    def _attempt(self, trial_fn: Callable, seed: int, pass_budget: bool,
-                 metrics: Optional[MetricsRegistry] = None) -> float:
-        kwargs = {} if metrics is None else {"metrics": metrics}
-        if pass_budget:
-            return trial_fn(seed, self.step_budget, **kwargs)
-        return trial_fn(seed, **kwargs)
-
     def run(self, trial_fn: Callable, resume: bool = False) -> RobustRunReport:
         """Execute (or resume) all trials; never raises for a failed trial."""
         report = RobustRunReport(experiment=self.experiment, trials=self.trials)
@@ -378,18 +319,13 @@ class RobustTrialRunner:
             config={
                 "jobs": getattr(self.executor, "jobs", 1),
                 "max_attempts": self.max_attempts,
-                "step_budget": self.step_budget,
-                "wall_budget_s": self.wall_budget_s,
             },
         )
-        task = _TrialTask(runner=self, trial_fn=trial_fn,
-                          pass_budget=self._wants_step_budget(trial_fn),
-                          pass_metrics=self._wants_metrics(trial_fn))
+        task = _TrialTask(runner=self, trial_fn=trial_fn)
         keyer = TrialKeyer.create(
             resolve_cache(self.cache, self.executor), trial_fn,
             experiment=self.experiment,
-            extra={"max_attempts": self.max_attempts,
-                   "step_budget": self.step_budget},
+            extra={"max_attempts": self.max_attempts},
             code_extra=(type(self),), codec=_RECORD_CODEC,
         )
         # Workers hand records back; only this (parent) process merges them
@@ -430,39 +366,23 @@ class RobustTrialRunner:
                     failures=report.failures, quarantined=report.quarantined)
         return report
 
-    def _run_trial(self, trial_fn: Callable, trial: int,
-                   pass_budget: bool, pass_metrics: bool = False) -> TrialRecord:
+    def _run_trial(self, trial_fn: Callable, trial: int) -> TrialRecord:
         record = TrialRecord(trial=trial, seed=derive_seed(self.experiment, trial),
                              status=TRIAL_ERROR)
         for attempt in range(self.max_attempts):
             seed = derive_retry_seed(self.experiment, trial, attempt)
             record.seed = seed
             record.attempts = attempt + 1
-            registry = MetricsRegistry() if pass_metrics else None
-            # Host-level watchdog, not sim time: the wall budget guards the
-            # *machine* against runaway trials, so it must read a real clock.
+            # Host timing, not sim time: it feeds the runlog's host.wall_s
+            # and never the journal, so it must read a real clock.
             started = time.monotonic()  # simlint: disable=DET001
             try:
-                value = self._attempt(trial_fn, seed, pass_budget,
-                                      metrics=registry)
+                value = trial_fn(seed)
             except Exception as error:  # noqa: BLE001 - taxonomy boundary
                 record.status, record.error = classify(error)
                 if isinstance(error, StepBudgetExceeded):
                     record.steps = error.steps
             else:
-                elapsed = time.monotonic() - started  # simlint: disable=DET001
-                if (self.wall_budget_s is not None
-                        and elapsed > self.wall_budget_s):
-                    record.status = TRIAL_TIMEOUT
-                    # The measured elapsed time is host-dependent and must
-                    # stay out of the journaled message (journals are
-                    # byte-identical across hosts); it remains available
-                    # in-memory via record.duration_wall_s.
-                    record.error = (
-                        f"wall budget {self.wall_budget_s:.1f}s exceeded"
-                    )
-                    # Retrying a too-slow trial would double the damage.
-                    return record
                 try:
                     numeric = float(value)
                 except (TypeError, ValueError) as error:
@@ -478,13 +398,6 @@ class RobustTrialRunner:
                 record.status = TRIAL_OK
                 record.value = numeric
                 record.error = ""
-                if registry is not None:
-                    snapshot = registry.snapshot()
-                    record.metrics = snapshot
-                    # obs.install wires sim.steps to the kernel's step loop.
-                    steps = snapshot.get("sim.steps")
-                    if steps is not None:
-                        record.steps = int(steps)
                 return record
             finally:
                 # Wall duration of the last attempt, success or failure.
@@ -492,10 +405,6 @@ class RobustTrialRunner:
                     time.monotonic() - started  # simlint: disable=DET001
                 )
         return record
-
-    def summary(self, trial_fn: Callable, resume: bool = False) -> Summary:
-        """Run (or resume) and summarize, failure counts included."""
-        return self.run(trial_fn, resume=resume).summary()
 
 
 @dataclass
@@ -509,12 +418,9 @@ class _TrialTask:
 
     runner: RobustTrialRunner
     trial_fn: Callable
-    pass_budget: bool
-    pass_metrics: bool
 
     def __call__(self, trial: int) -> TrialRecord:
-        return self.runner._run_trial(self.trial_fn, trial,
-                                      self.pass_budget, self.pass_metrics)
+        return self.runner._run_trial(self.trial_fn, trial)
 
 
 def _decode_record(payload: dict, trial: int) -> TrialRecord:

@@ -66,6 +66,10 @@ class FaultStudyConfig:
     #: Trial dispatch layer; None means in-process serial execution.
     executor: Optional[Executor] = None
 
+    def __post_init__(self) -> None:
+        if self.step_budget is not None and self.step_budget < 1:
+            raise ValueError("step budget must be at least 1")
+
 
 @dataclass
 class FaultSweepPoint:
@@ -113,8 +117,7 @@ class FaultStudy:
             journal = Path(self.config.journal_dir) / f"{safe}.json"
         report = RobustTrialRunner(
             trials=self.config.trials, experiment=experiment,
-            max_attempts=self.config.max_attempts,
-            step_budget=self.config.step_budget, journal_path=journal,
+            max_attempts=self.config.max_attempts, journal_path=journal,
             executor=self.config.executor,
         ).run(trial_fn, resume=resume)
         return FaultSweepPoint(label=label, metric=report.summary(),
@@ -124,15 +127,16 @@ class FaultStudy:
                    spec: DeviceSpec, resume: bool) -> FaultSweepPoint:
         return self._point(experiment, label, _WebFaultTrial(
             spec=spec, link=self.config.link, pages=tuple(self.corpus),
-            plan=plan, device_kwargs={"governor": "OD"}), resume)
+            plan=plan, step_budget=self.config.step_budget,
+            device_kwargs={"governor": "OD"}), resume)
 
     def _video_point(self, experiment: str, label: str, plan: FaultPlan,
                      spec: DeviceSpec, resume: bool,
                      metric: str = "stall") -> FaultSweepPoint:
         return self._point(experiment, label, _VideoFaultTrial(
             spec=spec, link=self.config.link, clip=self.config.clip,
-            plan=plan, metric=metric, device_kwargs={"governor": "OD"}),
-            resume)
+            plan=plan, metric=metric, step_budget=self.config.step_budget,
+            device_kwargs={"governor": "OD"}), resume)
 
     # -- sweeps ------------------------------------------------------------
 
@@ -213,14 +217,15 @@ class _WebFaultTrial:
     link: LinkSpec
     pages: tuple[PageSpec, ...]
     plan: FaultPlan
+    step_budget: Optional[int]
     device_kwargs: dict
 
-    def __call__(self, seed: int, step_budget: Optional[int]) -> float:
+    def __call__(self, seed: int) -> float:
         plts = [
             simulate(Environment(), self.spec, self.link, seed + i,
                      lambda env, device, link: BrowserEngine(
                          env, device, link).load(page),
-                     faults=self.plan, step_budget=step_budget,
+                     faults=self.plan, step_budget=self.step_budget,
                      **self.device_kwargs).plt
             for i, page in enumerate(self.pages)
         ]
@@ -236,13 +241,14 @@ class _VideoFaultTrial:
     clip: VideoSpec
     plan: FaultPlan
     metric: str
+    step_budget: Optional[int]
     device_kwargs: dict
 
-    def __call__(self, seed: int, step_budget: Optional[int]) -> float:
+    def __call__(self, seed: int) -> float:
         result = simulate(Environment(), self.spec, self.link, seed,
                           lambda env, device, link: StreamingPlayer(
                               env, device, link, self.clip).run(),
-                          faults=self.plan, step_budget=step_budget,
+                          faults=self.plan, step_budget=self.step_budget,
                           **self.device_kwargs)
         if self.metric == "startup":
             return result.startup_latency_s

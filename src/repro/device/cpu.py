@@ -110,11 +110,6 @@ class Cluster:
         """Number of cores currently running a task."""
         return self._busy
 
-    @property
-    def thermal_cap_index(self) -> Optional[int]:
-        """Highest ladder step currently allowed by thermal throttling."""
-        return self._thermal_cap_index
-
     def set_thermal_cap_index(self, index: Optional[int]) -> None:
         """Cap the DVFS ladder at step ``index`` (``None`` lifts the cap).
 

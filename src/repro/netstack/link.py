@@ -90,16 +90,6 @@ class Link:
         return self._loss
 
     @property
-    def rate_factor(self) -> float:
-        """Current capacity multiplier in (0, 1] applied by injectors."""
-        return self._rate_factor
-
-    @property
-    def extra_delay_s(self) -> float:
-        """Per-transfer latency penalty currently in effect."""
-        return self._extra_delay_s
-
-    @property
     def is_down(self) -> bool:
         """True while the link is in an outage."""
         return self._restore_event is not None

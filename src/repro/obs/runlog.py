@@ -16,7 +16,7 @@ an ``event`` field naming the shape:
 * deterministic events, emitted by the trial runners:
 
   - ``run_start`` — experiment, trials, pending, resumed, ``config``
-    (max_attempts, step_budget, wall_budget_s, jobs), ``runlog_version``;
+    (jobs, max_attempts), ``runlog_version``;
   - ``trial_complete`` — trial, status, attempts, value, steps, error,
     ``metrics_digest`` (short hash of the canonical metric snapshot);
   - ``run_end`` — completed, failures, quarantined.

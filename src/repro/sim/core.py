@@ -399,11 +399,6 @@ class Environment:
         return self._steps_total
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
-    @property
     def live_process_count(self) -> int:
         """Number of processes whose generators have not terminated."""
         return len(self._live)

@@ -31,14 +31,6 @@ class ActivityRecord:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def is_compute(self) -> bool:
-        return self.kind in COMPUTE_KINDS
-
-    @property
-    def is_network(self) -> bool:
-        return self.kind in NETWORK_KINDS
-
 
 @dataclass
 class PageLoadResult:

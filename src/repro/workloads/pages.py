@@ -88,9 +88,6 @@ class PageSpec:
         """Chrome-plus-page working set: browser baseline + decoded content."""
         return 0.28 + self.total_bytes * 40e-9
 
-    def children_of(self, index: int) -> tuple[WebObject, ...]:
-        return tuple(o for o in self.objects if o.parent == index)
-
     def scripting_ops(self, cost: Optional[CpuCostModel] = None) -> float:
         """Total scripting reference ops (compile + execute, CPU pricing)."""
         cost = cost or CpuCostModel()

@@ -15,7 +15,9 @@ import json
 from repro.cache import TrialCache
 from repro.cli import main
 from repro.core.experiments import RobustTrialRunner, derive_seed
+from repro.core.studies import FaultStudy, FaultStudyConfig
 from repro.obs.runlog import RunLog, deterministic_bytes, read_runlog
+from repro.parallel import SerialExecutor
 
 
 def seeded_trial(seed: int) -> float:
@@ -120,6 +122,27 @@ def test_trial_index_and_seed_both_guard_the_key(tmp_path):
     assert cache.stats.hits == 0 and cache.stats.misses == 4
     assert a == [seeded_trial(derive_seed("a", t)) for t in range(2)]
     assert b == [seeded_trial(derive_seed("b", t)) for t in range(2)]
+
+
+def test_fault_trial_step_budget_is_part_of_the_key(tmp_path):
+    # The budget is a field of the fault trial, not a runner setting: it
+    # reaches the key through the task's canonical params.
+    cache = TrialCache(tmp_path / "cache")
+    executor = SerialExecutor()
+    executor.cache = cache
+
+    def point(step_budget):
+        config = FaultStudyConfig(n_pages=1, trials=2, executor=executor,
+                                  step_budget=step_budget)
+        (swept,) = FaultStudy(config).plt_vs_burst_loss(p_bads=(0.0,))
+        return swept.report.values
+
+    first = point(5_000_000)
+    assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+    assert point(4_000_000) == first
+    assert (cache.stats.hits, cache.stats.misses) == (0, 4)
+    assert point(5_000_000) == first
+    assert (cache.stats.hits, cache.stats.misses) == (2, 4)
 
 
 # -- the CLI round trip ------------------------------------------------------

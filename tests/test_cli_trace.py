@@ -1,14 +1,14 @@
-"""CLI contract of ``python -m repro trace`` and runner metric capture."""
+"""CLI contract of ``python -m repro trace`` and runner steps capture."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from repro.cli import main
 from repro.core.experiments import RobustTrialRunner, TrialRecord
-from repro.obs import MetricsRegistry, install
 from repro.sim import Environment
 
 
@@ -69,43 +69,15 @@ def test_list_includes_trace(capsys):
     assert "trace" in capsys.readouterr().out.split()
 
 
-# -- RobustTrialRunner metric/steps capture ---------------------------------
+# -- RobustTrialRunner steps capture ---------------------------------------
 
-def _sim_trial(seed: int, metrics: MetricsRegistry) -> float:
-    env = Environment()
-    install(env, metrics=metrics)
+@dataclass
+class _RunawayTrial:
+    """A trial that never finishes on its own: only its step budget ends it."""
 
-    def proc():
-        yield env.timeout(2.0)
-        yield env.timeout(3.0)
+    step_budget: int
 
-    env.run(env.process(proc()))
-    return env.now
-
-
-def test_runner_passes_registry_and_journals_snapshot(tmp_path):
-    journal = tmp_path / "journal.json"
-    runner = RobustTrialRunner(trials=2, experiment="obs",
-                               journal_path=journal)
-    report = runner.run(_sim_trial)
-    assert report.failures == 0
-    for record in report.records:
-        assert record.metrics is not None
-        assert record.metrics["sim.steps"] == 4.0
-        assert record.steps == 4
-        assert record.duration_wall_s >= 0.0
-    payload = json.loads(journal.read_text())
-    assert payload["version"] == 3
-    row = payload["records"][0]
-    assert row["steps"] == 4
-    assert row["metrics"]["sim.steps"] == 4.0
-    # v3: host timing stays out of the file so journal bytes replay
-    # identically across runs and worker counts.
-    assert "duration_wall_s" not in row
-
-
-def test_runner_records_steps_on_budget_exhaustion():
-    def runaway(seed: int, step_budget) -> float:
+    def __call__(self, seed: int) -> float:
         env = Environment()
 
         def spin():
@@ -113,12 +85,13 @@ def test_runner_records_steps_on_budget_exhaustion():
                 yield env.timeout(1.0)
 
         env.process(spin())
-        env.run(until=1e9, max_steps=step_budget)
+        env.run(until=1e9, max_steps=self.step_budget)
         return env.now
 
-    runner = RobustTrialRunner(trials=1, experiment="budget",
-                               step_budget=25, max_attempts=1)
-    (record,) = runner.run(runaway).records
+
+def test_runner_records_steps_on_budget_exhaustion():
+    runner = RobustTrialRunner(trials=1, experiment="budget", max_attempts=1)
+    (record,) = runner.run(_RunawayTrial(step_budget=25)).records
     assert record.status == "timeout"
     assert record.steps == 25
 

@@ -82,7 +82,7 @@ def test_runner_executes_all_trials():
 
 def test_runner_summary():
     runner = RobustTrialRunner(trials=3, experiment="t")
-    summary = runner.summary(lambda seed: float(seed % 7))
+    summary = runner.run(lambda seed: float(seed % 7)).summary()
     assert summary.n == 3
 
 

@@ -14,9 +14,13 @@ golden shapes rather than brittle snapshots.
 
 from __future__ import annotations
 
+from statistics import median
+
 import pytest
 
 from repro.core.studies import (
+    OffloadStudy,
+    OffloadStudyConfig,
     RtcStudy,
     RtcStudyConfig,
     VideoStudy,
@@ -204,3 +208,29 @@ def test_fig6_throughput_is_cpu_bound_below_600mhz():
     plateau = [p.throughput_mbps for p in points if p.clock_mhz >= 594]
     assert len(plateau) >= 9
     assert min(plateau) >= 45.0
+
+
+# -- Fig 7: DSP regex offload (Pixel 2, sports pages) ------------------------
+
+
+@pytest.fixture(scope="module")
+def offload_study() -> OffloadStudy:
+    """One sports page, one trial: the smallest scale the bands hold at."""
+    return OffloadStudy(OffloadStudyConfig(n_pages=1, trials=1))
+
+
+def test_fig7a_offload_wins_at_the_default_governor(offload_study):
+    """Paper: 18%; reproduced ≈11% (the gap is documented in EXPERIMENTS.md)."""
+    win = offload_study.compare_default_governor().eplt_improvement
+    assert 0.05 < win < 0.30
+
+
+def test_fig7c_offload_wins_more_at_low_clocks(offload_study):
+    points = {p.clock_mhz: p.improvement
+              for p in offload_study.eplt_vs_clock((300, 883))}
+    assert points[300] > points[883] > 0.0
+
+
+def test_fig7b_dsp_draws_a_fraction_of_cpu_power(offload_study):
+    cpu_w, dsp_w = offload_study.power_distributions()
+    assert 3.0 <= median(cpu_w) / median(dsp_w) <= 5.0

@@ -182,8 +182,7 @@ def test_robust_runner_emits_start_completions_end(tmp_path):
     assert events[0]["experiment"] == "runlog-test"
     assert events[0]["trials"] == 4 and events[0]["pending"] == 4
     assert events[0]["runlog_version"] == RUNLOG_VERSION
-    assert set(events[0]["config"]) == {"jobs", "max_attempts",
-                                        "step_budget", "wall_budget_s"}
+    assert set(events[0]["config"]) == {"jobs", "max_attempts"}
     completions = [e for e in events if e["event"] == "trial_complete"]
     assert [e["trial"] for e in completions] == [0, 1, 2, 3]
     assert all(e["host"]["wall_s"] >= 0.0 for e in completions)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
@@ -15,6 +14,7 @@ from repro.core.experiments import (
     derive_seed,
 )
 from repro.core.background import make_rng
+from repro.core.studies import FaultStudyConfig
 from repro.sim import Environment, Interrupt, SimDeadlock, StepBudgetExceeded
 
 
@@ -132,37 +132,18 @@ def test_taxonomy_classification():
     }
 
 
-def test_wall_budget_timeout_is_not_retried():
-    calls: list[int] = []
-
-    def slow_trial(seed: int) -> float:
-        calls.append(seed)
-        time.sleep(0.05)
-        return 1.0
-
-    runner = RobustTrialRunner(trials=1, experiment="slow",
-                               max_attempts=3, wall_budget_s=0.001)
-    report = runner.run(slow_trial)
-    assert report.records[0].status == "timeout"
-    assert "wall budget" in report.records[0].error
-    assert len(calls) == 1  # retrying a too-slow trial doubles the damage
-
-
-def test_step_budget_is_threaded_to_two_parameter_trial_fns():
+def test_trial_fn_is_called_with_the_seed_only():
+    # A trial needs nothing but its seed: a step budget is a field of the
+    # trial object, so a second parameter keeps its default.
     received: list[object] = []
 
-    def budgeted(seed: int, step_budget) -> float:
+    def budgeted(seed: int, step_budget=None) -> float:
         received.append(step_budget)
         return 1.0
 
-    RobustTrialRunner(trials=1, step_budget=777).run(budgeted)
-    assert received == [777]
-
-    def unbudgeted(seed: int) -> float:
-        return 1.0
-
-    report = RobustTrialRunner(trials=1, step_budget=777).run(unbudgeted)
+    report = RobustTrialRunner(trials=1).run(budgeted)
     assert report.failures == 0
+    assert received == [None]
 
 
 def test_non_numeric_trial_value_is_classified_not_raised():
@@ -318,6 +299,4 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         RobustTrialRunner(max_attempts=0)
     with pytest.raises(ValueError):
-        RobustTrialRunner(step_budget=0)
-    with pytest.raises(ValueError):
-        RobustTrialRunner(wall_budget_s=0.0)
+        FaultStudyConfig(step_budget=0)
