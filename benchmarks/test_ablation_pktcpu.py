@@ -11,11 +11,10 @@ from repro.analysis import render_table
 from repro.core.session import simulate
 from repro.device import NEXUS4
 from repro.netstack import LinkSpec, PacketCostModel, iperf_downstream
-from repro.sim import Environment
 
 
 def _iperf(mhz, cost=PacketCostModel()):
-    return simulate(Environment(), NEXUS4, LinkSpec(), None,
+    return simulate(NEXUS4, LinkSpec(), None,
                     partial(iperf_downstream, duration_s=6.0, cost=cost),
                     governor="PF", pinned_mhz=mhz)
 

@@ -13,12 +13,12 @@ def test_fig1(benchmark, fig_printer):
     table = render_table(
         ["Year", "PLT (s)", "Clock (GHz)", "Cores", "Memory (GB)",
          "OS", "Page size (MB)"],
-        [[p.year, f"{p.plt_s:.1f}", p.clock_ghz, p.cores, p.memory_gb,
+        [[p.year, p.plt.fmt_mean(".1f"), p.clock_ghz, p.cores, p.memory_gb,
           p.os_version, f"{p.page_size_mb:.1f}"] for p in points],
     )
     fig_printer("Fig 1: PLT and device parameters over 2011-2018", table)
-    early = (points[0].plt_s + points[1].plt_s) / 2
-    late = (points[-2].plt_s + points[-1].plt_s) / 2
+    early = (points[0].plt.mean + points[1].plt.mean) / 2
+    late = (points[-2].plt.mean + points[-1].plt.mean) / 2
     # The paper: PLT grows ~4× despite hardware improving on every axis.
     assert late > 2 * early
     assert points[-1].clock_ghz > points[0].clock_ghz

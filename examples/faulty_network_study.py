@@ -16,7 +16,6 @@ from repro.core.session import simulate
 from repro.core.studies import FaultStudy, FaultStudyConfig
 from repro.device import NEXUS4
 from repro.faults import BurstLossSpec, FaultPlan, ThermalThrottleSpec
-from repro.sim import Environment
 from repro.video import VideoSpec
 from repro.web import BrowserEngine
 
@@ -34,7 +33,7 @@ def main() -> None:
     print(f"Plan: {plan.describe()}")
 
     def faulted_load(seed: int) -> float:
-        return simulate(Environment(), NEXUS4, config.link, seed,
+        return simulate(NEXUS4, config.link, seed,
                         lambda env, device, link: BrowserEngine(
                             env, device, link).load(study.corpus[0]),
                         faults=plan, governor="OD").plt

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Observability walkthrough: trace one page load, inspect it, export it.
+"""Observability walkthrough: trace one Fig 2a trial, inspect it, export it.
 
-Three short demos of ``repro.obs``:
+Three short demos of ``repro.obs`` on the very sessions Fig 2a measures:
 
-1. an instrumented page load — spans per subsystem, metrics snapshot;
-2. the replay contract — same seed exports byte-identical trace JSON;
-3. the critical path rebuilt from the trace alone, cross-checked
-   against the in-memory activity records.
+1. a traced trial of ``fig2a:Google Nexus4`` — one session per corpus
+   page, spans per subsystem, one merged metrics snapshot;
+2. the replay contract — the same trial exports byte-identical JSON;
+3. a page's critical path rebuilt from its session's trace alone.
 
 Run:  python examples/trace_web_study.py
 Then open trace_web_study.json in https://ui.perfetto.dev
@@ -14,52 +14,40 @@ Then open trace_web_study.json in https://ui.perfetto.dev
 
 from repro.analysis.critpath import extract_critical_path
 from repro.core.tracing import run_traced_trial
-from repro.device import NEXUS4, Device
-from repro.netstack import Link, LinkSpec
-from repro.obs import chrome_trace_json, install, text_summary, write_chrome_trace
-from repro.sim import Environment
-from repro.web import BrowserEngine
-from repro.workloads import generate_corpus
+from repro.obs import chrome_trace_json, text_summary, write_chrome_trace
 
 OUT = "trace_web_study.json"
-
-
-def traced_load(seed: int):
-    """One instrumented Nexus 4 page load; returns (tracer, metrics, result)."""
-    env = Environment()
-    tracer, metrics = install(env)  # before building anything else
-    device = Device(env, NEXUS4, governor="OD")
-    browser = BrowserEngine(env, device, Link(env, LinkSpec()))
-    page = generate_corpus(1, seed=seed)[0]
-    result = env.run(env.process(browser.load(page)))
-    return tracer, metrics, result
+EXPERIMENT = "fig2a:Google Nexus4"
 
 
 def main() -> None:
-    # -- 1. one traced load, summarized -----------------------------------
-    tracer, metrics, result = traced_load(seed=7)
-    print(text_summary(tracer, metrics))
-    print(f"\nPLT = {result.plt:.2f} s; spans+instants per subsystem:")
-    for category, count in tracer.counts_by_category().items():
-        print(f"  {category:>8}: {count}")
-    write_chrome_trace(tracer, OUT)
+    # -- 1. one traced trial, summarized ----------------------------------
+    traced = run_traced_trial(EXPERIMENT, 7)
+    print(text_summary(traced.tracers, traced.metrics))
+    print(f"\n{len(traced.tracers)} sessions; PLT per page (s): "
+          + ", ".join(f"{load.plt:.2f}" for load in traced.result))
+    write_chrome_trace(traced.tracers, OUT)
     print(f"[wrote {OUT} — open it in https://ui.perfetto.dev]")
 
     # -- 2. traces are part of the replay contract ------------------------
-    again, _, _ = traced_load(seed=7)
-    print("\nSame seed exports byte-identical trace JSON:",
-          chrome_trace_json(tracer) == chrome_trace_json(again))
+    again = run_traced_trial(EXPERIMENT, 7)
+    first_json, again_json = (chrome_trace_json(run.tracers)
+                              for run in (traced, again))
+    print("\nSame trial exports byte-identical trace JSON:",
+          first_json == again_json)
 
     # -- 3. the critical path, rebuilt from the trace alone ---------------
-    traced = run_traced_trial("fig2a", seed=7)
-    from_records = extract_critical_path([], plt=traced.value,
-                                         trace=traced.tracer.spans)
-    print(f"\nCritical path from trace spans only: "
-          f"{len(from_records.activities)} activities, "
-          f"compute {from_records.compute_time:.2f} s / "
-          f"network {from_records.network_time:.2f} s")
+    first = traced.result[0]
+    from_trace = extract_critical_path([], plt=first.plt,
+                                       trace=traced.tracers[0].spans)
+    print(f"\nCritical path of page 0 from trace spans only: "
+          f"{len(from_trace.activities)} activities, "
+          f"compute {from_trace.compute_time:.2f} s / "
+          f"network {from_trace.network_time:.2f} s "
+          f"(records: {first.compute_time:.2f} s / "
+          f"{first.network_time:.2f} s)")
     print("Kind breakdown:")
-    for kind, seconds in sorted(from_records.kind_breakdown.items()):
+    for kind, seconds in sorted(from_trace.kind_breakdown.items()):
         print(f"  {kind:>14}: {seconds:.3f} s")
 
 

@@ -12,7 +12,7 @@ Usage::
     python -m repro faults --jobs 4 --task-timeout 300   # hung-task guard
     python -m repro faults --journal out/j --resume   # continue a run
     python -m repro lint --format json   # simlint static analysis
-    python -m repro trace fig2a --out trace.json      # Perfetto trace
+    python -m repro trace "fig2a:Google Nexus4" --trial 0   # Perfetto trace
     python -m repro faults --journal out/j --progress # live progress line
     python -m repro report out/j         # run report from journal+runlog
     python -m repro perf check BENCH_obs.json         # perf budget check
@@ -24,9 +24,10 @@ Every figure command prints the same rows the corresponding benchmark
 asserts on, at a configurable scale.  ``faults`` runs the fault-injection
 robustness study (see :mod:`repro.faults`); ``lint`` runs the
 determinism / sim-invariant static-analysis pass (see :mod:`repro.lint`);
-``trace`` runs one instrumented scenario and exports a Chrome trace_event
-JSON for Perfetto (see :mod:`repro.core.tracing`); ``report`` renders a
-self-contained run report (see :mod:`repro.obs.report`); ``perf``
+``trace`` runs one trial of any figure's experiment with instrumentation
+on and exports a Chrome trace_event JSON for Perfetto, one process per
+simulated session (see :mod:`repro.core.tracing`); ``report`` renders
+a self-contained run report (see :mod:`repro.obs.report`); ``perf``
 inspects the perf-trajectory store (see :mod:`repro.obs.perfstore`).
 
 Run-level observability (``docs/observability.md``): ``--runlog PATH``
@@ -47,6 +48,7 @@ stderr — no tracebacks.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -181,10 +183,11 @@ def cmd_table1(args) -> None:
 def cmd_fig1(args) -> None:
     from repro.core.studies import evolution_timeline
 
-    points = evolution_timeline(n_pages=max(args.pages // 2, 1))
+    points = evolution_timeline(n_pages=max(args.pages // 2, 1),
+                                executor=_executor(args))
     headers = ["year", "plt_s", "clock_ghz", "cores", "memory_gb",
                "os_version", "page_mb"]
-    rows = [[p.year, f"{p.plt_s:.2f}", p.clock_ghz, p.cores, p.memory_gb,
+    rows = [[p.year, p.plt.fmt_mean(".2f"), p.clock_ghz, p.cores, p.memory_gb,
              p.os_version, f"{p.page_size_mb:.1f}"] for p in points]
     print(render_table(headers, rows))
     _maybe_csv(args, "fig1", headers, rows)
@@ -296,18 +299,25 @@ def cmd_fig5(args) -> None:
 def cmd_fig6(args) -> None:
     from repro.core.studies import throughput_vs_clock
 
-    points = throughput_vs_clock(duration_s=max(args.media_s / 10, 5))
+    points = throughput_vs_clock(duration_s=max(args.media_s / 10, 5),
+                                 executor=_executor(args))
     headers = ["clock_mhz", "throughput_mbps"]
     rows = [[p.clock_mhz, f"{p.throughput_mbps:.2f}"] for p in points]
     print(render_table(headers, rows))
     _maybe_csv(args, "fig6", headers, rows)
 
 
+def _percent(fraction) -> str:
+    """A fraction as a table cell; ``n/a`` when there is none."""
+    return "n/a" if fraction is None else f"{fraction:.1%}"
+
+
 def cmd_fig7(args) -> None:
     from repro.core.studies import OffloadStudy, OffloadStudyConfig
 
     study = OffloadStudy(OffloadStudyConfig(n_pages=args.pages,
-                                            trials=args.trials))
+                                            trials=args.trials,
+                                            executor=_executor(args)))
     cmp = study.compare_default_governor()
     print("Fig 7a (default governor):")
     rows_a = [
@@ -317,14 +327,15 @@ def cmd_fig7(args) -> None:
          cmp.dsp_eplt.fmt_mean(".2f")],
     ]
     print(render_table(["executor", "scripting_s", "eplt_s"], rows_a))
-    print(f"ePLT improvement: {cmp.eplt_improvement:.1%}")
+    print(f"ePLT improvement: {_percent(cmp.eplt_improvement)}")
     cpu_w, dsp_w = study.power_distributions()
-    print(f"\nFig 7b: median power CPU {median(cpu_w):.2f} W, "
-          f"DSP {median(dsp_w):.2f} W "
-          f"({median(cpu_w) / median(dsp_w):.1f}x)")
+    power = (f"CPU {median(cpu_w):.2f} W, DSP {median(dsp_w):.2f} W "
+             f"({median(cpu_w) / median(dsp_w):.1f}x)" if cpu_w and dsp_w
+             else "n/a (no samples)")
+    print(f"\nFig 7b: median power {power}")
     print("\nFig 7c (pinned low clocks):")
     rows_c = [[p.clock_mhz, p.cpu_eplt.fmt_mean(".2f"),
-               p.dsp_eplt.fmt_mean(".2f"), f"{p.improvement:.1%}"]
+               p.dsp_eplt.fmt_mean(".2f"), _percent(p.improvement)]
               for p in study.eplt_vs_clock()]
     print(render_table(["clock_mhz", "cpu_eplt_s", "dsp_eplt_s", "win"],
                        rows_c))
@@ -353,8 +364,7 @@ def cmd_joint(args) -> None:
     print("\nTLS overhead vs clock:")
     tls_rows = [
         [p.clock_mhz, p.plt_tls.fmt_mean(".2f"), p.plt_plain.fmt_mean(".2f"),
-         f"{p.tls_overhead_frac:.1%}" if p.plt_tls.n and p.plt_plain.n
-         else "n/a"]
+         _percent(p.tls_overhead_frac)]
         for p in tls_overhead(n_pages=args.pages, executor=executor)
     ]
     print(render_table(["clock_mhz", "plt_tls_s", "plt_plain_s",
@@ -436,6 +446,17 @@ _COMMANDS = {
 }
 
 
+#: Subcommands with their own parsers: name -> module with ``main(argv)``.
+_SUBCOMMANDS = {
+    "cache": "repro.cache.cli",
+    "lint": "repro.lint.cli",
+    "perf": "repro.obs.perfstore",
+    "population": "repro.population.cli",
+    "report": "repro.obs.report",
+    "trace": "repro.core.tracing",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -494,41 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "lint":
-        # The lint subcommand owns its flags (--format/--select/...), so it
-        # is dispatched before the figure parser sees them.
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "trace":
-        # Likewise for the trace subcommand (--out/--seed/--metrics-out).
-        from repro.core.tracing import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "report":
-        # And the report subcommand (--format/--out/--top).
-        from repro.obs.report import main as report_main
-
-        return report_main(argv[1:])
-    if argv and argv[0] == "perf":
-        # And the perf-trajectory subcommand (show/check).
-        from repro.obs.perfstore import main as perf_main
-
-        return perf_main(argv[1:])
-    if argv and argv[0] == "cache":
-        # And the cache-maintenance subcommand (stats/gc/clear).
-        from repro.cache.cli import main as cache_main
-
-        return cache_main(argv[1:])
-    if argv and argv[0] == "population":
-        # And the fleet-simulation subcommand (--sessions/--seed/...).
-        from repro.population.cli import main as population_main
-
-        return population_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        # Subcommands own their flags, so they are dispatched before the
+        # figure parser sees them.
+        module = importlib.import_module(_SUBCOMMANDS[argv[0]])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.figure == "list":
-        for name in sorted([*_COMMANDS, "cache", "lint", "trace", "report",
-                            "perf", "population"]):
+        for name in sorted([*_COMMANDS, *_SUBCOMMANDS]):
             print(name)
         return 0
     if args.trials < 1:

@@ -32,10 +32,10 @@ only where no record can stand in: an unusable journal.
 Seed-collision note: ``derive_seed`` hashes ``f"{experiment}:{trial}"``
 with CRC-32, keeping seeds 31-bit and stable.  CRC-32 over short distinct
 strings collides with probability ≈ ``n²/2³³`` (birthday bound) — about
-2×10⁻⁵ for the ~400 experiment-name × 100-trial pairs the benchmarks use.
-``tests/test_core_experiments.py`` asserts the current benchmark namespace
-is collision-free; if a collision ever appears, mix the trial index into
-the CRC input (e.g. hash ``f"{experiment}:{trial}:{trial * 0x9E3779B9}"``)
+3×10⁻² for the 16,400 pairs of the 164 experiment names ``repro trace``
+enumerates × 100 trials.  ``tests/test_core_experiments.py`` asserts that
+namespace is collision-free; if a collision ever appears, mix the trial
+index into the CRC input (e.g. hash ``f"{experiment}:{trial}:{trial * 0x9E3779B9}"``)
 — at the cost of regenerating every figure baseline.
 """
 

@@ -6,8 +6,8 @@ constant".  :func:`simulate` is that constant setup: a fresh
 :class:`~repro.device.Device`, seeded background OS load, one
 :class:`~repro.netstack.Link`, then the app's process — always built in
 this order, which is what keeps every study's output byte-identical.
-It is the only place a session's device, background load and link are
-built.
+It is the only place a session's environment, device, background load
+and link are built.
 
 The app is a ``program(env, device, link)`` callable returning the
 generator to run, so this module names no app package: a trial's code
@@ -29,11 +29,15 @@ from repro.sim import Environment
 #: Builds the app on the session's device and link; returns its process.
 Program = Callable[[Environment, Device, Link], Generator]
 
+#: Called with each session's fresh environment before anything is built
+#: in it (``repro trace`` installs observability); ``None``: untraced.
+on_environment: Optional[Callable[[Environment], None]] = None
 
-def simulate(env: Environment, spec: DeviceSpec, link_spec: LinkSpec,
-             seed: Optional[int], program: Program, *, faults: Any = None,
+
+def simulate(spec: DeviceSpec, link_spec: LinkSpec, seed: Optional[int],
+             program: Program, *, faults: Any = None,
              step_budget: Optional[int] = None, **device_kwargs) -> Any:
-    """Run ``program`` on a fresh device and link inside ``env``.
+    """Run ``program`` on a fresh device and link in a fresh environment.
 
     ``seed`` drives the background load and, when ``faults`` is given,
     the fault plan's draws.  ``seed=None`` is an unseeded session: a
@@ -45,6 +49,9 @@ def simulate(env: Environment, spec: DeviceSpec, link_spec: LinkSpec,
     """
     if seed is None and faults is not None:
         raise ValueError("a fault plan needs a seeded session")
+    env = Environment()
+    if on_environment is not None:
+        on_environment(env)
     device = Device(env, spec, **device_kwargs)
     if seed is not None:
         BackgroundLoad(env, device, make_rng(seed))
@@ -56,4 +63,4 @@ def simulate(env: Environment, spec: DeviceSpec, link_spec: LinkSpec,
     return env.run(process, max_steps=step_budget)
 
 
-__all__ = ["Program", "simulate"]
+__all__ = ["Program", "on_environment", "simulate"]

@@ -2,7 +2,7 @@
 
 §3 isolates one resource "by changing its value while keeping the
 remaining setup constant".  Figs 2–5 are that one loop, run once per
-(app, axis): :func:`axis_points` lays out the points of an axis and
+(app, axis): :class:`AxisStudy` lays out the points of an axis and
 :func:`run_trials` folds one point's seeded trials through the study's
 executor.  Each app study (``web``, ``video``, ``rtc``) keeps only its
 picklable per-trial task, its point type and its figure ids.
@@ -17,8 +17,8 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.experiments import derive_seed
 from repro.core.pipeline import cached_map
-from repro.device import DeviceSpec, GOVERNOR_CODES, TABLE1_DEVICES
-from repro.parallel import Executor
+from repro.device import DeviceSpec, GOVERNOR_CODES, NEXUS4, TABLE1_DEVICES
+from repro.parallel import Executor, SerialExecutor
 
 #: axis -> (default values on a device, device kwargs of one value).
 #: ``devices`` also swaps the spec itself; every axis but ``clock`` and
@@ -41,24 +41,6 @@ AXES: dict[str, Tuple[Callable[[DeviceSpec], Sequence],
 RESOURCE_AXES = ("clock", "memory", "cores", "governor")
 
 
-def axis_points(figures: Mapping[str, str], axis: str, spec: DeviceSpec,
-                values: Optional[Sequence] = None,
-                ) -> Iterator[Tuple[Any, str, DeviceSpec, dict]]:
-    """``(label, experiment, spec, device kwargs)`` for each point.
-
-    Only ``values=None`` means the axis default; an empty selection
-    stays empty.  A point's label is its value (a device's name on the
-    ``devices`` axis) and its experiment is ``f"{figures[axis]}:{label}"``,
-    so its trial seeds never depend on which other points run.
-    """
-    defaults, device_kwargs = AXES[axis]
-    for value in defaults(spec) if values is None else values:
-        label, point_spec = (value.name, value) if axis == "devices" \
-            else (value, spec)
-        yield (label, f"{figures[axis]}:{label}", point_spec,
-               device_kwargs(value))
-
-
 def run_trials(executor: Executor, task: Callable[[int], Any],
                experiment: str, trials: int) -> list:
     """``task`` over one point's seeded trials, in trial order.
@@ -72,4 +54,48 @@ def run_trials(executor: Executor, task: Callable[[int], Any],
     return cached_map(executor, task, seeds, experiment=experiment)
 
 
-__all__ = ["AXES", "RESOURCE_AXES", "axis_points", "run_trials"]
+class AxisStudy:
+    """An app study's §3 sweeps, one per axis of :data:`AXES`.
+
+    A subclass names each axis's figure in ``FIGURES``, builds a point's
+    per-trial task in ``task(spec, device_kwargs)`` and folds its
+    surviving trials in ``point(label, results)``; its config carries
+    ``trials`` and ``executor`` (``None``: in-process serial).
+    """
+
+    FIGURES: Mapping[str, str] = {}
+
+    def __init__(self, config: Any):
+        self.config = config
+        self.executor = config.executor or SerialExecutor()
+
+    def _points(self, axis: str, spec: DeviceSpec, values: Optional[Sequence],
+                ) -> Iterator[Tuple[Any, str, Any]]:
+        """``(label, experiment, task)`` per point; only ``values=None``
+        means the axis default.  A label is its value (a device's name on
+        ``devices``), its experiment ``f"{FIGURES[axis]}:{label}"``, so its
+        trial seeds never depend on which other points run."""
+        defaults, device_kwargs = AXES[axis]
+        for value in defaults(spec) if values is None else values:
+            label, point_spec = (value.name, value) if axis == "devices" \
+                else (value, spec)
+            yield (label, f"{self.FIGURES[axis]}:{label}",
+                   self.task(point_spec, device_kwargs(value)))
+
+    def sweep(self, axis: str, spec: DeviceSpec = NEXUS4,
+              values: Optional[Sequence] = None) -> list:
+        """One point per value of ``axis`` (``None``: the axis default)."""
+        return [self.point(label, run_trials(self.executor, task, experiment,
+                                             self.config.trials))
+                for label, experiment, task in self._points(axis, spec,
+                                                            values)]
+
+    def layouts(self) -> Iterator[Tuple[str, Any, None]]:
+        """``(experiment, task, None)`` of every seeded sweep this study
+        folds at its defaults on the Nexus 4."""
+        for axis in AXES:
+            for _, experiment, task in self._points(axis, NEXUS4, None):
+                yield experiment, task, None
+
+
+__all__ = ["AXES", "AxisStudy", "RESOURCE_AXES", "run_trials"]

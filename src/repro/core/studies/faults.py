@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary
 from repro.core.experiments import RobustRunReport, RobustTrialRunner
@@ -33,12 +33,15 @@ from repro.device import DeviceSpec, NEXUS4
 from repro.faults import BurstLossSpec, CrashSpec, FaultPlan, ThermalThrottleSpec
 from repro.netstack import LinkSpec
 from repro.parallel import Executor
-from repro.sim import Environment
 from repro.video import StreamingPlayer, VideoSpec
 from repro.web import BrowserEngine
 from repro.workloads import generate_corpus
 from repro.workloads.pages import PageSpec
-from repro.workloads.regexcorpus import RegexWorkloadFactory
+
+
+#: Default sweep values: GE bad-state loss rates and thermal caps.
+P_BADS = (0.0, 0.2, 0.4, 0.6)
+CAPS = (1.0, 0.75, 0.5, 0.35)
 
 
 @dataclass
@@ -85,97 +88,96 @@ class FaultStudy:
 
     def __init__(self, config: Optional[FaultStudyConfig] = None):
         self.config = config or FaultStudyConfig()
-        self.corpus: list[PageSpec] = generate_corpus(
-            self.config.n_pages, factory=RegexWorkloadFactory(),
-        )
-
-    def _plan(self, p_bad: float = 0.0, cap: float = 1.0,
-              throttle_at_s: float = 0.5) -> FaultPlan:
-        """One sweep point's faults, then the crash injector when enabled.
-
-        A Gilbert–Elliott burst-loss channel when ``p_bad > 0``; a
-        thermal cap from sim time ``throttle_at_s`` when ``cap < 1``.
-        """
-        specs: list = []
-        if p_bad > 0:
-            specs.append(BurstLossSpec(p_bad=p_bad, mean_good_s=3.0,
-                                       mean_bad_s=2.0))
-        if cap < 1.0:
-            specs.append(ThermalThrottleSpec(schedule=((throttle_at_s, cap),)))
-        if self.config.crash_probability > 0:
-            specs.append(CrashSpec(probability=self.config.crash_probability,
-                                   window_s=(0.5, 8.0)))
-        return FaultPlan(specs)
+        self.corpus: list[PageSpec] = generate_corpus(self.config.n_pages)
 
     # -- runner plumbing ---------------------------------------------------
 
-    def _point(self, experiment: str, label: str, trial_fn,
-               resume: bool) -> FaultSweepPoint:
-        journal = None
-        if self.config.journal_dir is not None:
-            safe = experiment.replace(":", "_").replace("/", "_")
-            journal = Path(self.config.journal_dir) / f"{safe}.json"
-        report = RobustTrialRunner(
-            trials=self.config.trials, experiment=experiment,
-            max_attempts=self.config.max_attempts, journal_path=journal,
-            executor=self.config.executor,
-        ).run(trial_fn, resume=resume)
-        return FaultSweepPoint(label=label, metric=report.summary(),
-                               report=report)
+    def _sweep(self, name: str, spec: DeviceSpec, values: Sequence[float],
+               ) -> Iterator[Tuple[str, str, Any]]:
+        """``(experiment, label, trial)`` per point of sweep ``name``.
 
-    def _web_point(self, experiment: str, label: str, plan: FaultPlan,
-                   spec: DeviceSpec, resume: bool) -> FaultSweepPoint:
-        return self._point(experiment, label, _WebFaultTrial(
-            spec=spec, link=self.config.link, pages=tuple(self.corpus),
-            plan=plan, step_budget=self.config.step_budget,
-            device_kwargs={"governor": "OD"}), resume)
+        ``web:ge``/``video:ge`` add a Gilbert–Elliott burst-loss channel
+        when ``p_bad > 0``; ``web:thermal``/``video:thermal`` cap the DVFS
+        ladder from sim time 0.5 s when ``cap < 1``, ``video:startup``
+        from 0 so the init phase runs throttled too.  The crash injector
+        joins every plan when enabled.
+        """
+        app, condition = name.split(":")
+        for value in values:
+            specs: list = []
+            if condition == "ge":
+                label = f"p_bad={value}"
+                if value > 0:
+                    specs.append(BurstLossSpec(p_bad=value, mean_good_s=3.0,
+                                               mean_bad_s=2.0))
+            else:
+                label = f"cap={value}"
+                start = 0.0 if condition == "startup" else 0.5
+                if value < 1.0:
+                    specs.append(ThermalThrottleSpec(
+                        schedule=((start, value),)))
+            crash = self.config.crash_probability
+            if crash > 0:
+                specs.append(CrashSpec(probability=crash, window_s=(0.5, 8.0)))
+            common = (spec, self.config.link, FaultPlan(specs),
+                      self.config.step_budget)
+            trial = _WebFaultTrial(*common, tuple(self.corpus)) \
+                if app == "web" else _VideoFaultTrial(
+                    *common, self.config.clip,
+                    "startup" if condition == "startup" else "stall")
+            yield f"faults:{name}:{value}", label, trial
 
-    def _video_point(self, experiment: str, label: str, plan: FaultPlan,
-                     spec: DeviceSpec, resume: bool,
-                     metric: str = "stall") -> FaultSweepPoint:
-        return self._point(experiment, label, _VideoFaultTrial(
-            spec=spec, link=self.config.link, clip=self.config.clip,
-            plan=plan, metric=metric, step_budget=self.config.step_budget,
-            device_kwargs={"governor": "OD"}), resume)
+    def _points(self, name: str, spec: DeviceSpec, values: Sequence[float],
+                resume: bool) -> list[FaultSweepPoint]:
+        points = []
+        for experiment, label, trial in self._sweep(name, spec, values):
+            journal = None
+            if self.config.journal_dir is not None:
+                safe = experiment.replace(":", "_").replace("/", "_")
+                journal = Path(self.config.journal_dir) / f"{safe}.json"
+            report = RobustTrialRunner(
+                trials=self.config.trials, experiment=experiment,
+                max_attempts=self.config.max_attempts, journal_path=journal,
+                executor=self.config.executor,
+            ).run(trial, resume=resume)
+            points.append(FaultSweepPoint(label=label,
+                                          metric=report.summary(),
+                                          report=report))
+        return points
+
+    def layouts(self) -> Iterator[Tuple[str, Any, None]]:
+        """``(experiment, trial, None)`` of every seeded sweep point at the
+        defaults, in the order ``repro faults`` prints them."""
+        for name, values in (("web:ge", P_BADS), ("web:thermal", CAPS),
+                             ("video:ge", P_BADS), ("video:thermal", CAPS),
+                             ("video:startup", CAPS)):
+            for experiment, _, trial in self._sweep(name, NEXUS4, values):
+                yield experiment, trial, None
 
     # -- sweeps ------------------------------------------------------------
 
-    def plt_vs_burst_loss(
-        self, spec: DeviceSpec = NEXUS4,
-        p_bads: Sequence[float] = (0.0, 0.2, 0.4, 0.6),
-        resume: bool = False,
-    ) -> list[FaultSweepPoint]:
+    def plt_vs_burst_loss(self, spec: DeviceSpec = NEXUS4,
+                          p_bads: Sequence[float] = P_BADS,
+                          resume: bool = False) -> list[FaultSweepPoint]:
         """Mean PLT as the bad-state loss rate of a GE channel grows."""
-        return [self._web_point(f"faults:web:ge:{p_bad}", f"p_bad={p_bad}",
-                                self._plan(p_bad=p_bad), spec, resume)
-                for p_bad in p_bads]
+        return self._points("web:ge", spec, p_bads, resume)
 
-    def plt_vs_thermal_cap(
-        self, spec: DeviceSpec = NEXUS4,
-        caps: Sequence[float] = (1.0, 0.75, 0.5, 0.35),
-        resume: bool = False,
-    ) -> list[FaultSweepPoint]:
+    def plt_vs_thermal_cap(self, spec: DeviceSpec = NEXUS4,
+                           caps: Sequence[float] = CAPS,
+                           resume: bool = False) -> list[FaultSweepPoint]:
         """Mean PLT as a thermal governor caps the DVFS ladder mid-load."""
-        return [self._web_point(f"faults:web:thermal:{cap}", f"cap={cap}",
-                                self._plan(cap=cap), spec, resume)
-                for cap in caps]
+        return self._points("web:thermal", spec, caps, resume)
 
-    def rebuffer_vs_burst_loss(
-        self, spec: DeviceSpec = NEXUS4,
-        p_bads: Sequence[float] = (0.0, 0.2, 0.4, 0.6),
-        resume: bool = False,
-    ) -> list[FaultSweepPoint]:
+    def rebuffer_vs_burst_loss(self, spec: DeviceSpec = NEXUS4,
+                               p_bads: Sequence[float] = P_BADS,
+                               resume: bool = False) -> list[FaultSweepPoint]:
         """Stall ratio as the GE channel's bad-state loss rate grows."""
-        return [self._video_point(f"faults:video:ge:{p_bad}",
-                                  f"p_bad={p_bad}", self._plan(p_bad=p_bad),
-                                  spec, resume)
-                for p_bad in p_bads]
+        return self._points("video:ge", spec, p_bads, resume)
 
-    def rebuffer_vs_thermal_cap(
-        self, spec: DeviceSpec = NEXUS4,
-        caps: Sequence[float] = (1.0, 0.75, 0.5, 0.35),
-        resume: bool = False,
-    ) -> list[FaultSweepPoint]:
+    def rebuffer_vs_thermal_cap(self, spec: DeviceSpec = NEXUS4,
+                                caps: Sequence[float] = CAPS,
+                                resume: bool = False,
+                                ) -> list[FaultSweepPoint]:
         """Stall ratio as thermal throttling caps the decode clock.
 
         Expected near-zero across the whole sweep: §3.2's finding that the
@@ -184,49 +186,34 @@ class FaultStudy:
         Fig 4a's flat stall line.  The metric that *does* move is startup
         (see :meth:`startup_vs_thermal_cap`).
         """
-        return [self._video_point(f"faults:video:thermal:{cap}",
-                                  f"cap={cap}", self._plan(cap=cap),
-                                  spec, resume)
-                for cap in caps]
+        return self._points("video:thermal", spec, caps, resume)
 
-    def startup_vs_thermal_cap(
-        self, spec: DeviceSpec = NEXUS4,
-        caps: Sequence[float] = (1.0, 0.75, 0.5, 0.35),
-        resume: bool = False,
-    ) -> list[FaultSweepPoint]:
+    def startup_vs_thermal_cap(self, spec: DeviceSpec = NEXUS4,
+                               caps: Sequence[float] = CAPS,
+                               resume: bool = False,
+                               ) -> list[FaultSweepPoint]:
         """Start-up latency under thermal caps — the metric §3.2 says
         clock throttling actually hurts (player init is compute-bound)."""
-        # Cap from t=0 so the init phase, not just steady state, runs
-        # throttled.
-        return [self._video_point(f"faults:video:startup:{cap}",
-                                  f"cap={cap}",
-                                  self._plan(cap=cap, throttle_at_s=0.0),
-                                  spec, resume, metric="startup")
-                for cap in caps]
+        return self._points("video:startup", spec, caps, resume)
 
 
 @dataclass
 class _WebFaultTrial:
-    """Picklable robust-runner trial: mean faulted PLT over the corpus.
-
-    Replaces the closure the sweeps used to build inline — closures cannot
-    cross the process boundary, instances of this class can.
-    """
+    """Picklable robust-runner trial: mean faulted PLT over the corpus."""
 
     spec: DeviceSpec
     link: LinkSpec
-    pages: tuple[PageSpec, ...]
     plan: FaultPlan
     step_budget: Optional[int]
-    device_kwargs: dict
+    pages: tuple[PageSpec, ...]
 
     def __call__(self, seed: int) -> float:
         plts = [
-            simulate(Environment(), self.spec, self.link, seed + i,
+            simulate(self.spec, self.link, seed + i,
                      lambda env, device, link: BrowserEngine(
                          env, device, link).load(page),
                      faults=self.plan, step_budget=self.step_budget,
-                     **self.device_kwargs).plt
+                     governor="OD").plt
             for i, page in enumerate(self.pages)
         ]
         return sum(plts) / len(plts)
@@ -238,18 +225,17 @@ class _VideoFaultTrial:
 
     spec: DeviceSpec
     link: LinkSpec
-    clip: VideoSpec
     plan: FaultPlan
-    metric: str
     step_budget: Optional[int]
-    device_kwargs: dict
+    clip: VideoSpec
+    metric: str
 
     def __call__(self, seed: int) -> float:
-        result = simulate(Environment(), self.spec, self.link, seed,
+        result = simulate(self.spec, self.link, seed,
                           lambda env, device, link: StreamingPlayer(
                               env, device, link, self.clip).run(),
                           faults=self.plan, step_budget=self.step_budget,
-                          **self.device_kwargs)
+                          governor="OD")
         if self.metric == "startup":
             return result.startup_latency_s
         return result.stall_ratio

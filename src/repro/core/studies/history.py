@@ -10,15 +10,16 @@ extra cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from typing import Iterator, Optional, Tuple
 
-from repro.analysis.stats import mean
+from repro.analysis.stats import Summary, summarize
+from repro.core.pipeline import cached_map
 from repro.core.session import simulate
-from repro.device import Device
-from repro.netstack import HostStack, HttpClient, Link
-from repro.sim import Environment
+from repro.device import DeviceSpec
+from repro.netstack import HostStack, HttpClient
+from repro.parallel import Executor, SerialExecutor
 from repro.web import BrowserEngine
-from repro.workloads.history import CELLULAR_PROFILE, YearMedians, all_years
+from repro.workloads.history import CELLULAR_PROFILE, all_years
 from repro.workloads.pages import PageSpec, generate_page
 from repro.workloads.regexcorpus import RegexWorkloadFactory
 
@@ -28,7 +29,7 @@ class TimelinePoint:
     """One year of Fig 1: the left-axis PLT plus every right-axis series."""
 
     year: int
-    plt_s: float
+    plt: Summary
     clock_ghz: float
     cores: int
     memory_gb: float
@@ -36,50 +37,58 @@ class TimelinePoint:
     page_size_mb: float
 
 
-def _browse(env: Environment, device: Device, link: Link, page: PageSpec,
-            year: int):
-    """One page load on that year's stack."""
-    stack = HostStack(env, device)
-    # HTTPS only became the Web's default around 2015.
-    http = HttpClient(env, link, stack, tls=year >= 2015)
-    return BrowserEngine(env, device, link, stack=stack, http=http).load(page)
+@dataclass(frozen=True)
+class _YearLoadTask:
+    """Picklable per-page task: one load on that year's median device."""
+
+    spec: DeviceSpec
+    year: int
+
+    def __call__(self, page: PageSpec) -> float:
+        def program(env, device, link):
+            stack = HostStack(env, device)
+            # HTTPS only became the Web's default around 2015.
+            http = HttpClient(env, link, stack, tls=self.year >= 2015)
+            return BrowserEngine(env, device, link, stack=stack,
+                                 http=http).load(page)
+
+        return simulate(self.spec, CELLULAR_PROFILE, None, program,
+                        governor="OD").plt
 
 
-def _plt_for_year(medians: YearMedians, n_pages: int,
-                  factory: RegexWorkloadFactory) -> float:
-    """Median-device PLT over that year's pages on the fixed profile."""
-    plts = []
-    spec = medians.device_spec()
-    for index in range(n_pages):
-        page = generate_page(
-            1000 + medians.year * 10 + index,
-            category=("news", "shopping", "business")[index % 3],
-            factory=factory,
-            bytes_factor=medians.page_bytes_factor,
-            ops_factor=medians.page_ops_factor,
-            chain_intensity=medians.page_ops_factor,
-        )
-        plts.append(simulate(Environment(), spec, CELLULAR_PROFILE, None,
-                             partial(_browse, page=page, year=medians.year),
-                             governor="OD").plt)
-    return mean(plts)
-
-
-def evolution_timeline(n_pages: int = 3) -> list[TimelinePoint]:
-    """The full Fig 1 series (PLT plus device parameters per year)."""
+def layouts(n_pages: int = 3) -> Iterator[Tuple[str, _YearLoadTask, list]]:
+    """``(experiment, task, pages)`` of each Fig 1 year (unseeded maps)."""
     factory = RegexWorkloadFactory()
-    points = []
     for medians in all_years():
-        points.append(TimelinePoint(
-            year=medians.year,
-            plt_s=_plt_for_year(medians, n_pages, factory),
-            clock_ghz=medians.clock_ghz,
-            cores=medians.cores,
-            memory_gb=medians.memory_gb,
-            os_version=medians.os_version,
-            page_size_mb=medians.page_size_mb,
-        ))
-    return points
+        pages = [
+            generate_page(
+                1000 + medians.year * 10 + index,
+                category=("news", "shopping", "business")[index % 3],
+                factory=factory,
+                bytes_factor=medians.page_bytes_factor,
+                ops_factor=medians.page_ops_factor,
+                chain_intensity=medians.page_ops_factor,
+            )
+            for index in range(n_pages)
+        ]
+        yield (f"fig1:{medians.year}",
+               _YearLoadTask(medians.device_spec(), medians.year), pages)
 
 
-__all__ = ["TimelinePoint", "evolution_timeline"]
+def evolution_timeline(n_pages: int = 3, executor: Optional[Executor] = None,
+                       ) -> list[TimelinePoint]:
+    """The full Fig 1 series (PLT plus device parameters per year); a
+    year's PLT covers the page loads a supervised executor let through."""
+    executor = executor or SerialExecutor()
+    return [
+        TimelinePoint(medians.year,
+                      summarize(cached_map(executor, task, pages,
+                                           experiment=experiment)),
+                      medians.clock_ghz, medians.cores, medians.memory_gb,
+                      medians.os_version, medians.page_size_mb)
+        for medians, (experiment, task, pages) in zip(all_years(),
+                                                      layouts(n_pages))
+    ]
+
+
+__all__ = ["TimelinePoint", "evolution_timeline", "layouts"]

@@ -18,7 +18,8 @@ The paper closes by calling for exactly these follow-ups:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary, summarize
 from repro.core.pipeline import cached_map
@@ -26,12 +27,10 @@ from repro.core.session import simulate
 from repro.device import DeviceSpec, NEXUS4
 from repro.netstack import HostStack, HttpClient, LinkSpec
 from repro.parallel import Executor, SerialExecutor
-from repro.sim import Environment
 from repro.web import BrowserEngine
 from repro.web.costmodel import browser_profile
 from repro.workloads import generate_corpus
 from repro.workloads.pages import PageSpec
-from repro.workloads.regexcorpus import RegexWorkloadFactory
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,6 @@ class JointPoint:
     def device_bound(self) -> bool:
         """Whether the device (not the network) dominates the load."""
         return self.compute_time > self.network_time
-
-
-def _corpus(n_pages: int) -> list[PageSpec]:
-    return generate_corpus(n_pages, factory=RegexWorkloadFactory())
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,66 @@ class _GridLoadTask:
                                     cost=browser_profile(self.browser_name))
             return browser.load(page)
 
-        return simulate(Environment(), self.spec, self.link_spec, None,
+        return simulate(self.spec, self.link_spec, None,
                         program, governor="OD", pinned_mhz=self.clock_mhz)
+
+
+#: Default axes of the three §6 sweeps (bandwidths in Mbps, clocks in MHz).
+GRID_BANDWIDTHS_MBPS = (2.0, 8.0, 48.5)
+GRID_CLOCKS_MHZ = TLS_CLOCKS_MHZ = (384, 810, 1512)
+BROWSERS = ("chrome63", "firefox57", "operamini")
+BROWSER_CLOCKS_MHZ = (384, 1512)
+
+#: ``(key, experiment, task)`` of one cell of a §6 sweep.
+Cells = Iterator[Tuple[tuple, str, _GridLoadTask]]
+
+
+def _grid_cells(spec: DeviceSpec, bandwidths_mbps: Sequence[float],
+                clocks_mhz: Sequence[int]) -> Cells:
+    return (((mbps, mhz), f"joint:{mbps}:{mhz}",
+             _GridLoadTask(spec, LinkSpec(goodput_bps=mbps * 1e6), mhz))
+            for mbps in bandwidths_mbps for mhz in clocks_mhz)
+
+
+def _tls_cells(spec: DeviceSpec, clocks_mhz: Sequence[int]) -> Cells:
+    return (((mhz, tls), f"tls:{mhz}:{'on' if tls else 'off'}",
+             _GridLoadTask(spec, LinkSpec(), mhz, tls=tls))
+            for mhz in clocks_mhz for tls in (True, False))
+
+
+def _browser_cells(spec: DeviceSpec, browsers: Sequence[str],
+                   clocks_mhz: Sequence[int]) -> Cells:
+    return (((name, mhz), f"browsers:{name}:{mhz}",
+             _GridLoadTask(spec, LinkSpec(), mhz, browser_name=name))
+            for name in browsers for mhz in clocks_mhz)
+
+
+def layouts(n_pages: int = 4,
+            ) -> Iterator[Tuple[str, _GridLoadTask, list[PageSpec]]]:
+    """``(experiment, task, pages)`` of every §6 cell at the defaults:
+    the joint grid, then TLS, then browsers (unseeded maps)."""
+    pages = generate_corpus(n_pages)
+    for _, experiment, task in chain(
+            _grid_cells(NEXUS4, GRID_BANDWIDTHS_MBPS, GRID_CLOCKS_MHZ),
+            _tls_cells(NEXUS4, TLS_CLOCKS_MHZ),
+            _browser_cells(NEXUS4, BROWSERS, BROWSER_CLOCKS_MHZ)):
+        yield experiment, task, pages
+
+
+def _fold(cells: Cells, n_pages: int,
+          executor: Optional[Executor]) -> Iterator[Tuple[tuple, list]]:
+    """Each cell's key with its surviving page loads over the corpus
+    (a supervised executor may quarantine some; n=0 renders "n/a")."""
+    executor = executor or SerialExecutor()
+    pages = generate_corpus(n_pages)
+    for key, experiment, task in cells:
+        yield key, cached_map(executor, task, pages, experiment=experiment)
 
 
 def joint_network_device_grid(
     spec: DeviceSpec = NEXUS4,
-    bandwidths_mbps: Sequence[float] = (2.0, 8.0, 48.5),
-    clocks_mhz: Sequence[int] = (384, 810, 1512),
+    bandwidths_mbps: Sequence[float] = GRID_BANDWIDTHS_MBPS,
+    clocks_mhz: Sequence[int] = GRID_CLOCKS_MHZ,
     n_pages: int = 4,
     executor: Optional[Executor] = None,
 ) -> list[JointPoint]:
@@ -88,26 +135,18 @@ def joint_network_device_grid(
     On fast links the device dominates (the paper's regime); on slow
     links the crossover moves and upgrading the CPU stops paying.
     """
-    executor = executor or SerialExecutor()
-    pages = _corpus(n_pages)
     points = []
-    for mbps in bandwidths_mbps:
-        link_spec = LinkSpec(goodput_bps=mbps * 1e6)
-        for mhz in clocks_mhz:
-            # Supervised executors may retire a page load after repeated
-            # host faults; the cell averages whatever loads survived
-            # (n=0 renders "n/a", times fall back to 0).
-            results = cached_map(
-                executor, _GridLoadTask(spec, link_spec, mhz), pages,
-                experiment=f"joint:{mbps}:{mhz}")
-            n = len(results) or 1
-            points.append(JointPoint(
-                bandwidth_mbps=mbps,
-                clock_mhz=mhz,
-                plt=summarize([r.plt for r in results]),
-                compute_time=sum(r.compute_time for r in results) / n,
-                network_time=sum(r.network_time for r in results) / n,
-            ))
+    for (mbps, mhz), results in _fold(
+            _grid_cells(spec, bandwidths_mbps, clocks_mhz), n_pages,
+            executor):
+        n = len(results) or 1  # times fall back to 0 without a sample
+        points.append(JointPoint(
+            bandwidth_mbps=mbps,
+            clock_mhz=mhz,
+            plt=summarize([r.plt for r in results]),
+            compute_time=sum(r.compute_time for r in results) / n,
+            network_time=sum(r.network_time for r in results) / n,
+        ))
     return points
 
 
@@ -120,16 +159,22 @@ class TlsPoint:
     plt_plain: Summary
 
     @property
-    def tls_overhead_frac(self) -> float:
-        """Share of the TLS-on PLT attributable to TLS."""
-        if self.plt_tls.mean <= 0:
-            return 0.0
-        return 1.0 - self.plt_plain.mean / self.plt_tls.mean
+    def tls_overhead_frac(self) -> Optional[float]:
+        """Share of the TLS-on PLT attributable to TLS; ``None`` without
+        a sample on either side."""
+        if self.plt_tls.n and self.plt_plain.n and self.plt_tls.mean > 0:
+            return 1.0 - self.plt_plain.mean / self.plt_tls.mean
+        return None
+
+
+def _plts(folded: Iterator[Tuple[tuple, list]]) -> dict[tuple, Summary]:
+    return {key: summarize([r.plt for r in results])
+            for key, results in folded}
 
 
 def tls_overhead(
     spec: DeviceSpec = NEXUS4,
-    clocks_mhz: Sequence[int] = (384, 810, 1512),
+    clocks_mhz: Sequence[int] = TLS_CLOCKS_MHZ,
     n_pages: int = 4,
     executor: Optional[Executor] = None,
 ) -> list[TlsPoint]:
@@ -141,29 +186,15 @@ def tls_overhead(
     absolute seconds, several times larger on a slow clock (the §6
     observation that stack overheads deserve device-side attention).
     """
-    executor = executor or SerialExecutor()
-    pages = _corpus(n_pages)
-    link_spec = LinkSpec()
-    points = []
-    for mhz in clocks_mhz:
-        tls_on = cached_map(
-            executor, _GridLoadTask(spec, link_spec, mhz, tls=True), pages,
-            experiment=f"tls:{mhz}:on")
-        tls_off = cached_map(
-            executor, _GridLoadTask(spec, link_spec, mhz, tls=False), pages,
-            experiment=f"tls:{mhz}:off")
-        points.append(TlsPoint(
-            clock_mhz=mhz,
-            plt_tls=summarize([r.plt for r in tls_on]),
-            plt_plain=summarize([r.plt for r in tls_off]),
-        ))
-    return points
+    plts = _plts(_fold(_tls_cells(spec, clocks_mhz), n_pages, executor))
+    return [TlsPoint(mhz, plts[mhz, True], plts[mhz, False])
+            for mhz in clocks_mhz]
 
 
 def browsers_vs_clock(
     spec: DeviceSpec = NEXUS4,
-    browsers: Sequence[str] = ("chrome63", "firefox57", "operamini"),
-    clocks_mhz: Sequence[int] = (384, 1512),
+    browsers: Sequence[str] = BROWSERS,
+    clocks_mhz: Sequence[int] = BROWSER_CLOCKS_MHZ,
     n_pages: int = 4,
     executor: Optional[Executor] = None,
 ) -> dict[str, dict[int, Summary]]:
@@ -173,21 +204,10 @@ def browsers_vs_clock(
     the profiles reproduce that (same ordering and similar slowdown
     factors), with Opera Mini's proxy mode least clock-sensitive.
     """
-    executor = executor or SerialExecutor()
-    pages = _corpus(n_pages)
-    link_spec = LinkSpec()
-    table: dict[str, dict[int, Summary]] = {}
-    for browser_name in browsers:
-        table[browser_name] = {}
-        for mhz in clocks_mhz:
-            results = cached_map(
-                executor,
-                _GridLoadTask(spec, link_spec, mhz,
-                              browser_name=browser_name),
-                pages, experiment=f"browsers:{browser_name}:{mhz}",
-            )
-            table[browser_name][mhz] = summarize([r.plt for r in results])
-    return table
+    plts = _plts(_fold(_browser_cells(spec, browsers, clocks_mhz), n_pages,
+                       executor))
+    return {name: {mhz: plts[name, mhz] for mhz in clocks_mhz}
+            for name in browsers}
 
 
 __all__ = [
@@ -195,5 +215,6 @@ __all__ = [
     "TlsPoint",
     "browsers_vs_clock",
     "joint_network_device_grid",
+    "layouts",
     "tls_overhead",
 ]

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.stats import Summary, summarize
 from repro.core.session import simulate
-from repro.core.studies.axes import axis_points, run_trials
-from repro.device import DeviceSpec, NEXUS4
+from repro.core.studies.axes import AxisStudy
+from repro.device import DeviceSpec
 from repro.netstack import LinkSpec
-from repro.parallel import Executor, SerialExecutor
-from repro.sim import Environment
+from repro.parallel import Executor
 from repro.video import StreamingPlayer, StreamingResult, VideoSpec
 
 
@@ -35,38 +34,26 @@ class StreamingPoint:
     stall_ratio: Summary
 
 
-class VideoStudy:
-    """Parameterized streaming sweeps on the simulated testbed."""
+class VideoStudy(AxisStudy):
+    """Streaming sweeps: ``devices`` is Fig 2b, the other axes Figs 4a–4d."""
 
-    #: Figure id of each §3 axis.
     FIGURES = {"devices": "fig2b", "clock": "fig4a", "memory": "fig4b",
                "cores": "fig4c", "governor": "fig4d"}
 
     def __init__(self, config: Optional[VideoStudyConfig] = None):
-        self.config = config or VideoStudyConfig()
-        self.executor = self.config.executor or SerialExecutor()
+        super().__init__(config or VideoStudyConfig())
 
-    def sweep(self, axis: str, spec: DeviceSpec = NEXUS4,
-              values: Optional[Sequence] = None) -> list[StreamingPoint]:
-        """Start-up latency and stall ratio along one §3 axis.
+    def task(self, spec: DeviceSpec, device_kwargs: dict) -> "_StreamTask":
+        return _StreamTask(spec, self.config.link, self.config.clip,
+                           device_kwargs)
 
-        ``devices`` is Fig 2b, ``clock``/``memory``/``cores``/``governor``
-        are Figs 4a–4d; ``values=None`` sweeps the axis default.
-        """
-        points = []
-        for label, experiment, point_spec, device_kwargs in axis_points(
-                self.FIGURES, axis, spec, values):
-            task = _StreamTask(spec=point_spec, link=self.config.link,
-                               clip=self.config.clip,
-                               device_kwargs=device_kwargs)
-            results = run_trials(self.executor, task, experiment,
-                                 self.config.trials)
-            points.append(StreamingPoint(
-                label=label,
-                startup=summarize([r.startup_latency_s for r in results]),
-                stall_ratio=summarize([r.stall_ratio for r in results]),
-            ))
-        return points
+    def point(self, label: object,
+              results: list[StreamingResult]) -> StreamingPoint:
+        return StreamingPoint(
+            label=label,
+            startup=summarize([r.startup_latency_s for r in results]),
+            stall_ratio=summarize([r.stall_ratio for r in results]),
+        )
 
 
 @dataclass
@@ -79,7 +66,7 @@ class _StreamTask:
     device_kwargs: dict
 
     def __call__(self, seed: int) -> StreamingResult:
-        return simulate(Environment(), self.spec, self.link, seed,
+        return simulate(self.spec, self.link, seed,
                         lambda env, device, link: StreamingPlayer(
                             env, device, link, self.clip).run(),
                         **self.device_kwargs)

@@ -11,19 +11,17 @@ themselves live in :mod:`repro.core.studies.axes`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary, summarize
 from repro.core.session import simulate
-from repro.core.studies.axes import axis_points, run_trials
+from repro.core.studies.axes import AxisStudy, run_trials
 from repro.device import DeviceSpec, NEXUS4
 from repro.netstack import LinkSpec
-from repro.parallel import Executor, SerialExecutor
-from repro.sim import Environment
+from repro.parallel import Executor
 from repro.web import BrowserEngine, PageLoadResult
 from repro.workloads import generate_corpus
 from repro.workloads.pages import CATEGORIES, PageSpec
-from repro.workloads.regexcorpus import RegexWorkloadFactory
 
 
 @dataclass
@@ -54,73 +52,63 @@ class PageLoadPoint:
     layout_paint_share: float
 
 
-class WebStudy:
-    """Shared page corpus + parameterized page-load sweeps."""
+class WebStudy(AxisStudy):
+    """Page-load sweeps over one shared corpus: ``devices`` is Fig 2a,
+    the other axes Figs 3a–3d, each with its §3.1 critical path."""
 
-    #: Figure id of each §3 axis.
     FIGURES = {"devices": "fig2a", "clock": "fig3a", "memory": "fig3b",
                "cores": "fig3c", "governor": "fig3d"}
 
     def __init__(self, config: Optional[WebStudyConfig] = None):
-        self.config = config or WebStudyConfig()
-        self.executor = self.config.executor or SerialExecutor()
-        self._factory = RegexWorkloadFactory()
+        super().__init__(config or WebStudyConfig())
         self.corpus: list[PageSpec] = generate_corpus(
-            self.config.n_pages, categories=tuple(self.config.categories),
-            factory=self._factory,
-        )
+            self.config.n_pages, categories=tuple(self.config.categories))
 
-    def _results(self, spec: DeviceSpec, experiment: str,
-                 pages: Optional[Sequence[PageSpec]] = None,
-                 **device_kwargs) -> list[PageLoadResult]:
-        # None means the whole corpus; an empty selection stays empty.
-        task = _PageLoadTask(
+    def task(self, spec: DeviceSpec, device_kwargs: dict,
+             pages: Optional[Sequence[PageSpec]] = None) -> "_PageLoadTask":
+        """Per-trial task: each of ``pages`` loaded once (``None``: the
+        whole corpus; an empty selection stays empty)."""
+        return _PageLoadTask(
             spec=spec, link=self.config.link,
             pages=tuple(self.corpus if pages is None else pages),
             device_kwargs=device_kwargs)
-        return [result
-                for trial_results in run_trials(self.executor, task,
-                                                experiment,
-                                                self.config.trials)
-                for result in trial_results]
 
-    def plt_summary(self, spec: DeviceSpec, experiment: str,
-                    pages: Optional[Sequence[PageSpec]] = None,
-                    **device_kwargs) -> Summary:
-        """Mean ± std PLT across pages × trials for one configuration."""
-        results = self._results(spec, experiment, pages, **device_kwargs)
-        return summarize([r.plt for r in results])
+    def point(self, label: object,
+              trials: list[list[PageLoadResult]]) -> PageLoadPoint:
+        results = [result for loads in trials for result in loads]
+        # Every trial can be quarantined under host faults: the shares then
+        # render as 0 next to an "n/a (n=0)" summary, not a division error.
+        n = len(results) or 1
+        return PageLoadPoint(
+            label=label,
+            plt=summarize([r.plt for r in results]),
+            compute_time=summarize([r.compute_time for r in results]),
+            network_time=summarize([r.network_time for r in results]),
+            scripting_share=sum(r.scripting_share for r in results) / n,
+            layout_paint_share=sum(r.layout_paint_share for r in results) / n,
+        )
 
-    def sweep(self, axis: str, spec: DeviceSpec = NEXUS4,
-              values: Optional[Sequence] = None) -> list[PageLoadPoint]:
-        """PLT and critical-path decomposition along one §3 axis.
-
-        ``devices`` is Fig 2a, ``clock``/``memory``/``cores``/``governor``
-        are Figs 3a–3d; ``values=None`` sweeps the axis default.
-        """
-        points = []
-        for label, experiment, point_spec, device_kwargs in axis_points(
-                self.FIGURES, axis, spec, values):
-            results = self._results(point_spec, experiment, **device_kwargs)
-            # Every trial of a point can be quarantined under host faults;
-            # the shares then render as 0 next to an "n/a (n=0)" summary
-            # instead of dividing by zero.
-            n = len(results) or 1
-            points.append(PageLoadPoint(
-                label=label,
-                plt=summarize([r.plt for r in results]),
-                compute_time=summarize([r.compute_time for r in results]),
-                network_time=summarize([r.network_time for r in results]),
-                scripting_share=(
-                    sum(r.scripting_share for r in results) / n
-                ),
-                layout_paint_share=(
-                    sum(r.layout_paint_share for r in results) / n
-                ),
-            ))
-        return points
+    def layouts(self) -> Iterator[Tuple[str, "_PageLoadTask", None]]:
+        """Figs 2a and 3a–3d, then §3.1, at the defaults."""
+        yield from super().layouts()
+        for _, experiment, task in self._category_points(NEXUS4):
+            yield experiment, task, None
 
     # -- §3.1: category sensitivity -------------------------------------------
+
+    def _category_points(self, spec: DeviceSpec,
+                         high_mhz: Optional[int] = None,
+                         low_mhz: Optional[int] = None,
+                         ) -> Iterator[Tuple[str, str, "_PageLoadTask"]]:
+        """``(category, experiment, task)``: each category's pages at the
+        high clock, then at the low clock."""
+        for category in self.config.categories:
+            pages = [p for p in self.corpus if p.category == category]
+            for side, mhz in (("hi", high_mhz or spec.max_clock_mhz),
+                              ("lo", low_mhz or spec.min_clock_mhz)):
+                if pages:
+                    yield (category, f"cat:{category}:{side}",
+                           self.task(spec, {"pinned_mhz": mhz}, pages))
 
     def category_clock_sensitivity(
         self, spec: DeviceSpec = NEXUS4,
@@ -131,22 +119,17 @@ class WebStudy:
         The paper finds news/sports pages ≈6× more affected because they
         are script-heavy.
         """
-        high_mhz = high_mhz or spec.max_clock_mhz
-        low_mhz = low_mhz or spec.min_clock_mhz
-        sensitivity: dict[str, float] = {}
-        for category in self.config.categories:
-            pages = [p for p in self.corpus if p.category == category]
-            if not pages:
-                continue
-            fast = self.plt_summary(spec, f"cat:{category}:hi", pages,
-                                    pinned_mhz=high_mhz)
-            slow = self.plt_summary(spec, f"cat:{category}:lo", pages,
-                                    pinned_mhz=low_mhz)
-            # Every trial of a side can be quarantined under host faults:
-            # with no sample there is no ratio, so the category is omitted.
-            if fast.n and slow.n:
-                sensitivity[category] = slow.mean / fast.mean
-        return sensitivity
+        plts: dict[str, list[Summary]] = {}
+        for category, experiment, task in self._category_points(
+                spec, high_mhz, low_mhz):
+            point = self.point(category, run_trials(
+                self.executor, task, experiment, self.config.trials))
+            plts.setdefault(category, []).append(point.plt)
+        # Every trial of a side can be quarantined under host faults: with
+        # no sample there is no ratio, so the category is omitted.
+        return {category: slow.mean / fast.mean
+                for category, (fast, slow) in plts.items()
+                if fast.n and slow.n}
 
 
 @dataclass
@@ -160,7 +143,7 @@ class _PageLoadTask:
 
     def __call__(self, seed: int) -> list[PageLoadResult]:
         return [
-            simulate(Environment(), self.spec, self.link, seed,
+            simulate(self.spec, self.link, seed,
                      lambda env, device, link: BrowserEngine(
                          env, device, link).load(page),
                      **self.device_kwargs)

@@ -1,18 +1,18 @@
-"""Traceable trials: canonical scenarios wired to :mod:`repro.obs`.
+"""Trace any figure session: ``repro trace <experiment> [--trial N]``.
 
-``python -m repro trace <trial>`` runs one seeded scenario with the
-tracer and metrics registry installed and exports a Chrome
-``trace_event`` JSON that Perfetto (https://ui.perfetto.dev) loads
-directly: one swimlane per subsystem category (``sim``, ``net``, ``web``
-or ``video``, ``device``, ``faults``), spans and instants on the
-simulated clock.
+Every figure folds one picklable task per *experiment*, the name its
+seeds and cache keys derive from (``fig2a:Google Nexus4``, ``fig3a:384``,
+``fig6``, ``faults:web:ge:0.2``, ...).  :func:`experiments` lists them
+from the studies' own ``layouts`` at default configs, :func:`resolve`
+turns a name and a trial index into ``(task, item)``, and
+:func:`run_traced_trial` runs ``task(item)`` with observability
+installed on each session it simulates (through
+:data:`repro.core.session.on_environment`).
 
-Each traceable trial is a thin builder over an existing study scenario —
-a Fig 2a page load, the Fig 3a low-clock point, a Fig 4a streaming
-session, a Fig 6 iperf run, and a faulted page load — chosen so a single
-trace exercises the kernel, the netstack, a QoE model, and the device
-model at once.  Determinism contract: same trial + same seed ⇒
-byte-identical exported trace (tests assert this).
+The Chrome ``trace_event`` export loads in https://ui.perfetto.dev: one
+process per session, in run order, one swimlane per subsystem category.
+All sessions share one metrics registry.  Same experiment and trial ⇒
+byte-identical export (tests assert this).
 """
 
 from __future__ import annotations
@@ -20,150 +20,107 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
+from repro.core import session
 from repro.core.experiments import derive_seed
-from repro.core.session import simulate
-from repro.device import NEXUS4
-from repro.faults import BurstLossSpec, FaultPlan, ThermalThrottleSpec
-from repro.netstack import LinkSpec, iperf_downstream
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    install,
-    metrics_json,
-    text_summary,
-    write_chrome_trace,
-)
-from repro.sim import Environment
-from repro.video import StreamingPlayer, VideoSpec
-from repro.web import BrowserEngine
-from repro.workloads import generate_corpus
+from repro.obs import (MetricsRegistry, Tracer, install, metrics_json,
+                       text_summary, write_chrome_trace)
+
+
+def experiments() -> Iterator[Tuple[str, Callable[[Any], Any],
+                                    Optional[Sequence]]]:
+    """``(experiment, task, items)`` of every experiment a figure folds;
+    ``items`` is ``None`` for a seeded sweep (trial ``t`` runs
+    ``derive_seed(experiment, t)``), else an unseeded map's pages or
+    clocks.  Each study is built only once it is reached."""
+    from repro.core.studies import (FaultStudy, OffloadStudy, RtcStudy,
+                                    VideoStudy, WebStudy, history, joint,
+                                    network)
+
+    yield from WebStudy().layouts()
+    yield from VideoStudy().layouts()
+    yield from RtcStudy().layouts()
+    yield from history.layouts()
+    yield from network.layouts()
+    yield from OffloadStudy().layouts()
+    yield from joint.layouts()
+    yield from FaultStudy().layouts()
+
+
+def resolve(experiment: str, trial: int) -> Tuple[Callable[[Any], Any], Any]:
+    """``(task, item)`` of one trial; raises :class:`ValueError` for an
+    unknown experiment or an out-of-range trial.  Runs nothing."""
+    for name, task, items in experiments():
+        if name != experiment:
+            continue
+        if items is None and trial >= 0:
+            return task, derive_seed(experiment, trial)
+        if items is not None and 0 <= trial < len(items):
+            return task, items[trial]
+        raise ValueError(f"trial {trial} is out of range for {experiment!r}"
+                         + ("" if items is None else f" ({len(items)} items)"))
+    raise ValueError(f"unknown experiment {experiment!r}")
 
 
 @dataclass
 class TracedTrial:
-    """One traced scenario run: its QoE value plus the full observation."""
+    """One traced trial: its task's result plus each session's tracer."""
 
-    name: str
-    seed: int
-    metric_name: str
-    value: float
-    sim_time_s: float
-    steps: int
-    tracer: Tracer
-    metrics: MetricsRegistry
+    result: Any
+    tracers: list[Tracer]  #: one per session, in run order
+    metrics: MetricsRegistry  #: shared by every session
 
 
-def _web_load(env: Environment, seed: int, experiment: str, *,
-              plan: Optional[FaultPlan] = None,
-              **device_kwargs) -> Tuple[str, float]:
-    """Shared fig2a-shaped page load: NEXUS4, ondemand, background jitter."""
-    page = generate_corpus(1)[0]
-    result = simulate(env, NEXUS4, LinkSpec(), derive_seed(experiment, seed),
-                      lambda env, device, link: BrowserEngine(
-                          env, device, link).load(page),
-                      faults=plan, governor="OD", **device_kwargs)
-    return "plt_s", result.plt
+def run_traced_trial(experiment: str, trial: int = 0) -> TracedTrial:
+    """Run one trial of ``experiment`` with observability installed."""
+    return _trace(*resolve(experiment, trial))
 
 
-def _fig2a(env: Environment, seed: int) -> Tuple[str, float]:
-    """Fig 2a: one corpus page on the Nexus 4 at the default governor."""
-    return _web_load(env, seed, "trace.fig2a")
-
-
-def _fig3a_low(env: Environment, seed: int) -> Tuple[str, float]:
-    """Fig 3a, lowest x-position: the same load with the clock pinned low."""
-    return _web_load(env, seed, "trace.fig3a-low", pinned_mhz=384)
-
-
-def _faults_web(env: Environment, seed: int) -> Tuple[str, float]:
-    """The fig2a load under burst loss + thermal throttling.
-
-    Faults draw from the session seed and install after the load's
-    process, the same wiring :class:`~repro.core.studies.FaultStudy`
-    trials use.
-    """
-    plan = FaultPlan([BurstLossSpec(p_bad=0.2, mean_bad_s=0.5),
-                      ThermalThrottleSpec()])
-    return _web_load(env, seed, "trace.faults-web", plan=plan)
-
-
-def _fig4a(env: Environment, seed: int) -> Tuple[str, float]:
-    """Fig 4a: a short streaming session on the Nexus 4."""
-    clip = VideoSpec(duration_s=30.0)
-    result = simulate(env, NEXUS4, LinkSpec(),
-                      derive_seed("trace.fig4a", seed),
-                      lambda env, device, link: StreamingPlayer(
-                          env, device, link, clip).run(),
-                      governor="OD")
-    return "stall_ratio", result.stall_ratio
-
-
-def _fig6(env: Environment, seed: int) -> Tuple[str, float]:
-    """Fig 6: downstream bulk TCP for 5 simulated seconds (unseeded)."""
-    result = simulate(env, NEXUS4, LinkSpec(), None,
-                      partial(iperf_downstream, duration_s=5.0),
-                      governor="PF")
-    return "throughput_mbps", result.throughput_mbps
-
-
-#: Name → builder.  Builders run the whole scenario inside the prepared env.
-TRACEABLE: dict[str, Callable[[Environment, int], Tuple[str, float]]] = {
-    "fig2a": _fig2a,
-    "fig3a-low": _fig3a_low,
-    "fig4a": _fig4a,
-    "fig6": _fig6,
-    "faults-web": _faults_web,
-}
-
-
-def run_traced_trial(name: str, seed: int = 0) -> TracedTrial:
-    """Run one traceable trial with observability installed."""
+def _trace(task: Callable[[Any], Any], item: Any) -> TracedTrial:
+    metrics = MetricsRegistry()
+    tracers: list[Tracer] = []
+    session.on_environment = lambda env: tracers.append(
+        install(env, metrics=metrics)[0])
     try:
-        builder = TRACEABLE[name]
-    except KeyError:
-        known = ", ".join(sorted(TRACEABLE))
-        raise ValueError(f"unknown traceable trial {name!r}; one of: {known}")
-    env = Environment()
-    tracer, metrics = install(env)
-    metric_name, value = builder(env, seed)
-    metrics.gauge("sim.time_s").set(env.now)
-    return TracedTrial(
-        name=name, seed=seed, metric_name=metric_name, value=value,
-        sim_time_s=env.now, steps=env.steps_processed,
-        tracer=tracer, metrics=metrics,
-    )
+        result = task(item)
+    finally:
+        session.on_environment = None
+    return TracedTrial(result, tracers, metrics)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point for ``python -m repro trace``."""
     parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Run one traceable trial and export a Chrome trace "
-                    "(load the output in https://ui.perfetto.dev).",
-    )
-    parser.add_argument("trial", choices=sorted(TRACEABLE),
-                        help="which scenario to trace")
+        prog="repro trace", description="Trace one trial of a figure's "
+        "experiment: a Chrome trace with one process per session (open it "
+        "in https://ui.perfetto.dev).")
+    parser.add_argument("experiment", help="e.g. 'fig2a:Google Nexus4', "
+                        "'fig3a:384', 'fig6' or 'faults:web:ge:0.2'")
+    parser.add_argument("--trial", type=int, default=0,
+                        help="trial of a seeded sweep, or page/clock index "
+                             "of an unseeded map (default 0)")
     parser.add_argument("--out", default="trace.json",
                         help="Chrome trace_event JSON output path")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="trial seed (same seed ⇒ byte-identical trace)")
     parser.add_argument("--metrics-out", default=None,
-                        help="also write the flat metrics snapshot JSON here")
+                        help="also write the merged metrics snapshot here")
     options = parser.parse_args(argv)
     try:
-        traced = run_traced_trial(options.trial, seed=options.seed)
+        task, item = resolve(options.experiment, options.trial)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    try:
+        traced = _trace(task, item)
     except Exception as error:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 1
-    write_chrome_trace(traced.tracer, options.out)
-    print(text_summary(traced.tracer, traced.metrics))
-    print(f"{traced.name}: {traced.metric_name}={traced.value:.4f} "
-          f"(seed {traced.seed}, {traced.steps} steps, "
-          f"{traced.sim_time_s:.3f} sim-s)")
+    write_chrome_trace(traced.tracers, options.out)
+    print(text_summary(traced.tracers, traced.metrics))
+    print(f"{options.experiment} trial {options.trial}: "
+          f"{len(traced.tracers)} sessions, "
+          f"{traced.metrics.snapshot()['sim.steps']:g} steps")
     print(f"[wrote {options.out}]")
     if options.metrics_out:
         Path(options.metrics_out).write_text(metrics_json(traced.metrics),
@@ -172,4 +129,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-__all__ = ["TRACEABLE", "TracedTrial", "main", "run_traced_trial"]
+__all__ = ["TracedTrial", "experiments", "main", "resolve",
+           "run_traced_trial"]

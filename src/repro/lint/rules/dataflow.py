@@ -126,7 +126,6 @@ _SEED_DERIVERS = frozenset({"derive_seed", "derive_retry_seed"})
 #: seed plumbing stays greppable end to end.
 _RNG_SINK_MODULE_PREFIXES = (
     "repro.core.studies",
-    "repro.core.tracing",
     "repro.faults",
     "repro.sim",
 )

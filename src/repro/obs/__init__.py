@@ -74,17 +74,16 @@ AnyTracer = Union[Tracer, NullTracer]
 AnyMetrics = Union[MetricsRegistry, NullMetrics]
 
 
-def install(env: Any, tracer: "Tracer | None" = None,
-            metrics: "MetricsRegistry | None" = None,
+def install(env: Any, metrics: "MetricsRegistry | None" = None,
             ) -> Tuple[Tracer, MetricsRegistry]:
-    """Attach observability to a simulation environment.
+    """Attach a new tracer and ``metrics`` (or a new registry) to ``env``.
 
     Must run right after ``Environment()`` — subsystems capture their
     tracer/metrics handles at construction time, so anything built before
     ``install`` stays uninstrumented.  Also wires the kernel's per-step
     ``sim.steps`` counter (the one hook the kernel reads directly).
     """
-    tracer = tracer if tracer is not None else Tracer(env)
+    tracer = Tracer(env)
     metrics = metrics if metrics is not None else MetricsRegistry()
     env.tracer = tracer
     env.metrics = metrics

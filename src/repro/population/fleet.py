@@ -45,12 +45,10 @@ from repro.parallel import Executor, SerialExecutor, SupervisionReport
 from repro.population.aggregate import ALL_TIER, FleetAggregator
 from repro.population.config import PopulationConfig, SessionSampler, SessionSpec
 from repro.rtc import CallConfig, VideoCall
-from repro.sim import Environment
 from repro.video import StreamingPlayer, VideoSpec
 from repro.web import BrowserEngine
 from repro.workloads import generate_corpus
 from repro.workloads.pages import PageSpec
-from repro.workloads.regexcorpus import RegexWorkloadFactory
 
 #: Aggregate JSON schema version (``FleetReport.to_json``).
 AGGREGATE_VERSION = 1
@@ -78,7 +76,7 @@ def run_session(config: PopulationConfig, corpus: Tuple[PageSpec, ...],
     """One session under the trial failure taxonomy — never raises."""
 
     def run(program: Program):
-        return simulate(Environment(), spec.device, spec.link, spec.seed,
+        return simulate(spec.device, spec.link, spec.seed,
                         program, governor="OD")
 
     status = TRIAL_OK
@@ -240,8 +238,8 @@ class FleetRunner:
         self.cache = cache
         # Built once in the parent and shipped inside the pickled task, so
         # every worker loads the identical pages.
-        self.corpus: Tuple[PageSpec, ...] = tuple(generate_corpus(
-            config.n_pages, factory=RegexWorkloadFactory()))
+        self.corpus: Tuple[PageSpec, ...] = tuple(
+            generate_corpus(config.n_pages))
 
     def run(self) -> FleetReport:
         """Execute every session; returns the streamed aggregate."""

@@ -58,8 +58,6 @@ class PageLoadResult:
     bytes_fetched: float = 0.0
     n_requests: int = 0
     energy_j: float = 0.0
-    dsp_busy_s: float = 0.0
-    dsp_energy_j: float = 0.0
     cp_kind_breakdown: dict[str, float] = field(default_factory=dict)
     activities: list[ActivityRecord] = field(default_factory=list)
     #: Execution intervals of regex-containing functions (for the Fig 7b

@@ -33,7 +33,7 @@ _CALL = CallConfig(call_duration_s=5.0)
 
 
 def web_metrics(seed: int) -> dict:
-    result = simulate(Environment(), NEXUS4, LinkSpec(), seed,
+    result = simulate(NEXUS4, LinkSpec(), seed,
                       lambda env, device, link: BrowserEngine(
                           env, device, link).load(_PAGE),
                       governor="OD")
@@ -43,7 +43,7 @@ def web_metrics(seed: int) -> dict:
 
 
 def rtc_metrics(seed: int) -> dict:
-    result = simulate(Environment(), NEXUS4, LinkSpec(), seed,
+    result = simulate(NEXUS4, LinkSpec(), seed,
                       lambda env, device, link: VideoCall(
                           env, device, link, _CALL).run(),
                       governor="OD")

@@ -107,7 +107,7 @@ def _probed_page_load(samples: list):
         env.process(probe())
         return BrowserEngine(env, device, link).load(page)
 
-    return simulate(Environment(), PIXEL2, LinkSpec(), 7, program,
+    return simulate(PIXEL2, LinkSpec(), 7, program,
                     governor="OD")
 
 

@@ -22,6 +22,8 @@ from repro.core.studies import (
     WebStudyConfig,
     throughput_vs_clock,
 )
+from repro.core.studies.axes import run_trials
+from repro.core.studies.offload import EpltClockPoint, OffloadComparison
 from repro.core.studies.web import PageLoadPoint
 from repro.device import NEXUS4
 from repro.parallel.chaos import (
@@ -52,9 +54,14 @@ def test_quarantined_points_have_no_sample_and_no_ratio():
 
 def test_an_empty_page_selection_stays_empty():
     study = WebStudy(WebStudyConfig(n_pages=3, trials=1))
-    assert summarize([]) == study.plt_summary(NEXUS4, "empty", pages=[],
-                                              governor="OD")
-    assert study.plt_summary(NEXUS4, "all", governor="OD").n == 3
+
+    def plt(experiment, pages=None):
+        task = study.task(NEXUS4, {"governor": "OD"}, pages)
+        return study.point(experiment, run_trials(study.executor, task,
+                                                  experiment, 1)).plt
+
+    assert summarize([]) == plt("empty", pages=[])
+    assert plt("all").n == 3
 
 
 @pytest.mark.parametrize("sweep", [
@@ -94,4 +101,29 @@ def test_cli_renders_empty_points_as_na(monkeypatch, capsys):
             for line in captured.out.splitlines() if line.strip()}
     assert rows["384"] == ["384", "n/a", "n/a", "n/a"]
     assert rows["chrome63"] == ["chrome63", "n/a", "n/a", "n/a"]
+    assert captured.err == ""
+
+
+def test_offload_wins_need_a_sample_on_both_sides():
+    empty, sample = summarize([]), summarize([2.0])
+    assert OffloadComparison(sample, empty, sample, empty) \
+        .eplt_improvement is None
+    assert EpltClockPoint(300, empty, sample).improvement is None
+    assert EpltClockPoint(300, sample, summarize([1.5])).improvement == 0.25
+
+
+def test_cli_renders_quarantined_fig1_and_fig7_as_na(monkeypatch, capsys):
+    # Every page load of Fig 1 and every trial of Fig 7 is quarantined.
+    monkeypatch.setattr(cli, "_executor",
+                        lambda args: _quarantine_every_trial())
+    assert cli.main(["fig1", "--pages", "2"]) == 0
+    rows = [line.split() for line in
+            capsys.readouterr().out.splitlines()[2:]]
+    assert len(rows) == 8 and all(row[1] == "n/a" for row in rows)
+
+    assert cli.main(["fig7", "--pages", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "ePLT improvement: n/a" in captured.out
+    assert "Fig 7b: median power n/a" in captured.out
+    assert "%" not in captured.out and "0.00" not in captured.out
     assert captured.err == ""

@@ -259,7 +259,7 @@ def test_faulted_page_load_qoe_is_deterministic():
     page = generate_corpus(1)[0]
 
     def load() -> float:
-        return simulate(Environment(), NEXUS4,
+        return simulate(NEXUS4,
                         LinkSpec(goodput_bps=3e6, rtt_s=0.060), 1234,
                         lambda env, device, link: BrowserEngine(
                             env, device, link).load(page),

@@ -121,6 +121,23 @@ def test_fig3a_decomposition_shifts_to_compute(web_study):
     assert low.compute_time.mean > low.network_time.mean
 
 
+# -- §3.1: page categories ---------------------------------------------------
+
+
+def test_sec31_script_heavy_categories_slow_down_most(web_study):
+    """News and sports slow down more than business and health at 384 MHz.
+
+    Measured at this scale: news 3.48×, sports 3.28×, business 2.90×,
+    health 2.86×.  Only the ordering is reproduced: the paper reports an
+    ≈6× spread between categories, this corpus about 1.2× (EXPERIMENTS.md
+    §3.1), because even the light categories stay compute-dominated.
+    """
+    slowdown = web_study.category_clock_sensitivity()
+    for heavy in ("news", "sports"):
+        for light in ("business", "health"):
+            assert slowdown[heavy] > slowdown[light], (heavy, light)
+
+
 # -- Fig 3d: PLT vs governor -------------------------------------------------
 
 
@@ -234,3 +251,15 @@ def test_fig7c_offload_wins_more_at_low_clocks(offload_study):
 def test_fig7b_dsp_draws_a_fraction_of_cpu_power(offload_study):
     cpu_w, dsp_w = offload_study.power_distributions()
     assert 3.0 <= median(cpu_w) / median(dsp_w) <= 5.0
+
+
+def test_sec42_regex_share_of_scripting_is_the_calibrated_40_percent(
+        offload_study):
+    """Regex is ≈40% of sports-page scripting work (measured 0.39–0.40).
+
+    The paper's text says "20%", but offloading a fifth of scripting
+    cannot remove the 18% of the page load that its own Fig 7a reports;
+    the corpus is calibrated to that result instead (DESIGN.md §6,
+    judgment call 3; EXPERIMENTS.md, Fig 7).
+    """
+    assert 0.35 <= offload_study.regex_share_of_scripting() <= 0.45

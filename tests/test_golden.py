@@ -2,8 +2,8 @@
 
 Each case pins the SHA-256 of one deterministic output — a figure
 command's stdout, the population aggregate JSON at a small fixed
-config, or a traced trial's exported Chrome trace and metrics — in
-``tests/golden/digests.json``.  A refactor or optimization that claims
+config, or a traced trial's exported Chrome trace and merged metrics —
+in ``tests/golden/digests.json``.  A refactor or optimization that claims
 to change no behaviour must leave every digest alone.
 
 The file is regenerated only on purpose::
@@ -42,7 +42,15 @@ CLI_CASES = {
     "faults": ["faults", "--trials", "1", "--pages", "2", "--media-s", "10"],
 }
 
-TRACE_CASES = ("fig2a", "fig3a-low", "fig4a", "fig6", "faults-web")
+#: Traced trials pinned by their export: case -> experiment (trial 0).
+#: Web, low-clock web, video, iperf and a faulted page load.
+TRACE_CASES = {
+    "fig2a": "fig2a:Google Nexus4",
+    "fig3a-low": "fig3a:384",
+    "fig4a": "fig4a:384",
+    "fig6": "fig6",
+    "faults-web": "faults:web:ge:0.2",
+}
 
 
 def _sha256(text: str) -> str:
@@ -81,6 +89,6 @@ def test_population_aggregate_digest(request):
 
 @pytest.mark.parametrize("name", TRACE_CASES)
 def test_trace_digests(name, request):
-    traced = run_traced_trial(name, 0)
-    _check(request, f"trace:{name}:chrome", chrome_trace_json(traced.tracer))
+    traced = run_traced_trial(TRACE_CASES[name], 0)
+    _check(request, f"trace:{name}:chrome", chrome_trace_json(traced.tracers))
     _check(request, f"trace:{name}:metrics", metrics_json(traced.metrics))

@@ -4,15 +4,15 @@ from functools import partial
 
 import pytest
 
+from repro.core import session
 from repro.core.session import simulate
 from repro.device import NEXUS4, PIXEL2
 from repro.netstack import LinkSpec, iperf_downstream
-from repro.sim import Environment
 
 
-def _iperf(spec, mhz, duration_s, link=LinkSpec(), env=None):
+def _iperf(spec, mhz, duration_s, link=LinkSpec()):
     """One unseeded Fig 6 session with the clock pinned at ``mhz``."""
-    return simulate(env or Environment(), spec, link, None,
+    return simulate(spec, link, None,
                     partial(iperf_downstream, duration_s=duration_s),
                     governor="PF", pinned_mhz=mhz)
 
@@ -56,7 +56,8 @@ def test_result_accounting():
     )
 
 
-def test_session_ends_when_the_window_closes():
-    env = Environment()
-    _iperf(NEXUS4, 1512, 2.0, env=env)
-    assert env.now == 2.0
+def test_session_ends_when_the_window_closes(monkeypatch):
+    envs = []
+    monkeypatch.setattr(session, "on_environment", envs.append)
+    _iperf(NEXUS4, 1512, 2.0)
+    assert [env.now for env in envs] == [2.0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -300,3 +301,49 @@ def test_constructor_validation():
         RobustTrialRunner(max_attempts=0)
     with pytest.raises(ValueError):
         FaultStudyConfig(step_budget=0)
+
+
+# -- steps and metrics fields -----------------------------------------------
+
+@dataclass
+class _RunawayTrial:
+    """A trial that never finishes on its own: only its step budget ends it."""
+
+    step_budget: int
+
+    def __call__(self, seed: int) -> float:
+        env = Environment()
+
+        def spin():
+            while True:
+                yield env.timeout(1.0)
+
+        env.process(spin())
+        env.run(until=1e9, max_steps=self.step_budget)
+        return env.now
+
+
+def test_runner_records_steps_on_budget_exhaustion():
+    runner = RobustTrialRunner(trials=1, experiment="budget", max_attempts=1)
+    (record,) = runner.run(_RunawayTrial(step_budget=25)).records
+    assert record.status == "timeout"
+    assert record.steps == 25
+
+
+def test_successful_trial_leaves_steps_and_metrics_unset():
+    runner = RobustTrialRunner(trials=1, experiment="plain")
+    (record,) = runner.run(lambda seed: 1.0).records
+    assert record.ok
+    assert record.metrics is None and record.steps is None
+
+
+def test_trial_record_round_trips_new_fields():
+    record = TrialRecord(trial=1, seed=9, status="ok", value=2.0,
+                         duration_wall_s=0.25, steps=100,
+                         metrics={"sim.steps": 100.0})
+    assert TrialRecord.from_dict(record.as_dict()) == record
+    # v1 journal rows (without the new fields) still load with defaults.
+    legacy = TrialRecord.from_dict(
+        {"trial": 0, "seed": 1, "status": "ok", "value": 1.0})
+    assert legacy.duration_wall_s == 0.0
+    assert legacy.steps is None and legacy.metrics is None

@@ -12,12 +12,11 @@ from repro.core.session import simulate
 from repro.device import NEXUS4
 from repro.faults import FaultPlan, ThermalThrottleSpec
 from repro.netstack import LinkSpec
-from repro.sim import Environment
 
 SRC = Path(repro.__file__).resolve().parent
 
 #: The testbed pieces only :func:`simulate` may put together.
-TESTBED = {"Device", "Link", "BackgroundLoad"}
+TESTBED = {"Environment", "Device", "Link", "BackgroundLoad"}
 
 #: Where those classes live, plus the one builder allowed to call them.
 ALLOWED = ("device/", "netstack/", "core/session.py")
@@ -30,7 +29,7 @@ def _idle_energy(env, device, link):
 
 
 def _run(seed):
-    return simulate(Environment(), NEXUS4, LinkSpec(), seed, _idle_energy,
+    return simulate(NEXUS4, LinkSpec(), seed, _idle_energy,
                     governor="OD")
 
 
@@ -43,7 +42,7 @@ def test_unseeded_sessions_are_identical_and_quiet():
 def test_a_fault_plan_needs_a_seed():
     plan = FaultPlan([ThermalThrottleSpec()])
     with pytest.raises(ValueError, match="seeded"):
-        simulate(Environment(), NEXUS4, LinkSpec(), None, _idle_energy,
+        simulate(NEXUS4, LinkSpec(), None, _idle_energy,
                  faults=plan)
 
 

@@ -180,8 +180,8 @@ def test_fig7c_win_grows_at_low_clock():
 
 def test_fig1_plt_grows_despite_hardware():
     points = evolution_timeline(n_pages=2)
-    early = sum(p.plt_s for p in points[:2]) / 2
-    late = sum(p.plt_s for p in points[-2:]) / 2
+    early = sum(p.plt.mean for p in points[:2]) / 2
+    late = sum(p.plt.mean for p in points[-2:]) / 2
     assert late > 2.0 * early
     assert points[-1].clock_ghz > 2 * points[0].clock_ghz
     assert points[-1].cores > points[0].cores
