@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import time
 
-from repro.population import FleetRunner, PopulationConfig, fleet
-from repro.sim import Environment
+from repro.core import session
+from repro.population import FleetRunner, PopulationConfig
 
 SESSIONS = 50
 #: Timed runs of the same population; the fastest is recorded.
@@ -26,14 +26,8 @@ RUNS = 3
 def count_events(config: PopulationConfig, monkeypatch) -> int:
     """Kernel events dispatched by every session of ``config``."""
     environments: list = []
-
-    class CountedEnvironment(Environment):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            environments.append(self)
-
     with monkeypatch.context() as patch:
-        patch.setattr(fleet, "Environment", CountedEnvironment)
+        patch.setattr(session, "on_environment", environments.append)
         FleetRunner(config).run()
     return sum(env.steps_processed for env in environments)
 

@@ -278,15 +278,28 @@ class CPU:
         """Cluster whose pool a new task should join.
 
         Prefer the fastest cluster with an idle core; fall back to the
-        fastest cluster overall (its FIFO queue) when everything is busy.
+        fastest online cluster (its FIFO queue) when everything is busy.
+        Ties go to the earlier cluster.
         """
-        if len(self.clusters) == 1:
-            return self.clusters[0]
-        candidates = [c for c in self.clusters if c.online_cores > 0]
-        for cluster in sorted(candidates, key=lambda c: -c.rate_hz):
-            if cluster.pool.count < cluster.pool.capacity:
-                return cluster
-        return max(candidates, key=lambda c: c.rate_hz)
+        clusters = self.clusters
+        if len(clusters) == 1:
+            return clusters[0]
+        fastest: Optional[Cluster] = None
+        free: Optional[Cluster] = None
+        for cluster in clusters:
+            if cluster.online_cores > 0:
+                rate = cluster.rate_hz
+                if fastest is None or rate > fastest.rate_hz:
+                    fastest = cluster
+                pool = cluster.pool
+                if (len(pool.users) < pool.capacity
+                        and (free is None or rate > free.rate_hz)):
+                    free = cluster
+        if free is not None:
+            return free
+        if fastest is None:
+            raise ValueError("CPU has no online cluster")
+        return fastest
 
     def submit(self, cycles: float, mem_stall: float = 0.0) -> CpuTask:
         """Run ``cycles`` of work; returns a handle whose ``done`` fires.
@@ -311,30 +324,32 @@ class CPU:
         # Highest-rate obs hook in the codebase: the span carries no args,
         # so the disabled path is one no-op call with no allocation.
         with self._tracer.span("device.cpu.task", "device"):
+            # Once per slice below: locals, and comparisons that pick the
+            # same operand min()/max() would.
+            quantum, timeout = self.quantum, self.env.timeout
+            min_cycles, min_stall = self._MIN_CYCLES, self._MIN_STALL
             remaining = cycles * self._cycle_multiplier
             stall_left = mem_stall
-            while (remaining >= self._MIN_CYCLES
-                   or stall_left >= self._MIN_STALL):
+            while remaining >= min_cycles or stall_left >= min_stall:
                 cluster = self._pick_cluster()
-                with cluster.pool.request() as grant:
+                pool = cluster.pool
+                with pool.request() as grant:
                     yield grant
                     cluster.mark_busy(+1)
                     try:
-                        while (remaining >= self._MIN_CYCLES
-                               or stall_left >= self._MIN_STALL):
+                        while remaining >= min_cycles or stall_left >= min_stall:
                             rate = cluster.rate_hz
-                            compute_left = remaining / rate
-                            slice_time = min(self.quantum,
-                                             compute_left + stall_left)
-                            yield self.env.timeout(slice_time)
-                            stall_used = min(stall_left, slice_time)
+                            slice_time = remaining / rate + stall_left
+                            if not slice_time < quantum:
+                                slice_time = quantum
+                            yield timeout(slice_time)
+                            stall_used = (slice_time if slice_time < stall_left
+                                          else stall_left)
                             stall_left -= stall_used
-                            remaining = max(
-                                0.0,
-                                remaining - (slice_time - stall_used) * rate
-                            )
-                            if (cluster.pool.queue
-                                    and remaining >= self._MIN_CYCLES):
+                            remaining -= (slice_time - stall_used) * rate
+                            if not remaining > 0.0:
+                                remaining = 0.0
+                            if pool.queue and remaining >= min_cycles:
                                 break  # yield the core to a waiter, requeue
                     finally:
                         cluster.mark_busy(-1)

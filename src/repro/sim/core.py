@@ -13,7 +13,7 @@ produce identical schedules.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Default priority for ordinary events.
@@ -80,6 +80,9 @@ class Event:
     waiter immediately (at the current simulated time).
     """
 
+    # Timeout, Initialize, Process and Request (repro.sim.resources) set
+    # these five fields by hand instead of calling Event.__init__; a field
+    # added here must be added there too.
     __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled")
 
     def __init__(self, env: "Environment"):
@@ -135,14 +138,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (fired) event — for chaining."""
-        if self._scheduled:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
 
@@ -155,7 +150,7 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         # The most frequent event: set every field and push the heap entry
         # here rather than through Event.__init__ and Environment.schedule.
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would top the heap
             raise ValueError(f"negative delay {delay}")
         self.env = env
         self.callbacks = []
@@ -163,8 +158,8 @@ class Timeout(Event):
         self._ok = True
         self._scheduled = True
         self.delay = delay
-        heapq.heappush(env._queue,
-                       (env._now + delay, PRIORITY_NORMAL, env._sequence, self))
+        heappush(env._queue,
+                 (env._now + delay, PRIORITY_NORMAL, env._sequence, self))
         env._sequence += 1
 
     def __repr__(self) -> str:
@@ -174,11 +169,16 @@ class Timeout(Event):
 class Initialize(Event):
     """Internal event that starts a new process on the next step."""
 
+    __slots__ = ()
+
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
+        self.env = env
+        self.callbacks = [process._resume]
+        self._value = None
         self._ok = True
-        env.schedule(self, priority=PRIORITY_URGENT)
+        self._scheduled = True
+        heappush(env._queue, (env._now, PRIORITY_URGENT, env._sequence, self))
+        env._sequence += 1
 
 
 class Process(Event):
@@ -190,14 +190,22 @@ class Process(Event):
     handled from the kernel's perspective).
     """
 
+    __slots__ = ("_generator", "_target", "_started_at", "_pid")
+
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._scheduled = False
         self._generator = generator
         self._target: Optional[Event] = None
-        self._started_at = env.now
-        self._pid = env._register_process(self)
+        self._started_at = env._now
+        self._pid = pid = env._next_pid
+        env._next_pid = pid + 1
+        env._live[pid] = self
         Initialize(env, self)
 
     @property
@@ -254,53 +262,53 @@ class Process(Event):
             )
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
+        env, generator = self.env, self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self._target = None
                 self._ok = True
                 self._value = stop.value
-                self.env._unregister_process(self)
-                self.env.schedule(self)
-                if self.env.tracer is not None:
+                env._live.pop(self._pid, None)
+                env.schedule(self)
+                if env.tracer is not None:
                     self._trace_exit(ok=True)
-                break
+                return
             except BaseException as error:
                 self._target = None
                 self._ok = False
                 self._value = error
-                self.env._unregister_process(self)
-                self.env.schedule(self)
-                if self.env.tracer is not None:
+                env._live.pop(self._pid, None)
+                env.schedule(self)
+                if env.tracer is not None:
                     self._trace_exit(ok=False)
                 if not self.callbacks:
                     # Nobody is waiting on this process: surface the crash.
-                    self.env._crashed.append((self, error))
-                break
+                    env._crashed.append((self, error))
+                return
 
             if not isinstance(next_event, Event):
-                self._generator.throw(
+                generator.throw(
                     SimulationError(f"process yielded non-event {next_event!r}")
                 )
                 continue
-            if next_event.env is not self.env:
-                self._generator.throw(
+            if next_event.env is not env:
+                generator.throw(
                     SimulationError("yielded event belongs to another environment")
                 )
                 continue
-            if next_event.callbacks is None:
+            callbacks = next_event.callbacks
+            if callbacks is None:
                 # Already processed: resume immediately with its outcome.
                 event = next_event
                 continue
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             self._target = next_event
-            break
-        self.env._active_process = None
+            return
 
 
 class ConditionEvent(Event):
@@ -376,7 +384,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self._crashed: list[tuple[Process, BaseException]] = []
         self._live: dict[int, Process] = {}
         self._next_pid = 0
@@ -402,15 +409,6 @@ class Environment:
     def live_process_count(self) -> int:
         """Number of processes whose generators have not terminated."""
         return len(self._live)
-
-    def _register_process(self, process: Process) -> int:
-        pid = self._next_pid
-        self._next_pid += 1
-        self._live[pid] = process
-        return pid
-
-    def _unregister_process(self, process: Process) -> None:
-        self._live.pop(process._pid, None)
 
     def _live_process_names(self, limit: int = 5) -> tuple:
         names = []
@@ -458,8 +456,10 @@ class Environment:
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Place ``event`` on the event list ``delay`` time units from now."""
+        if not delay >= 0:  # also rejects NaN, which would top the heap
+            raise ValueError(f"negative delay {delay}")
         event._scheduled = True
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, self._sequence, event)
         )
         self._sequence += 1
@@ -490,9 +490,10 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event: the kernel's one dispatch body."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("no more events")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self._now, _, _, event = heappop(queue)
         self._steps_total += 1
         if self._steps_counter is not None:
             self._steps_counter.inc()

@@ -16,16 +16,23 @@ pattern reads::
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Optional
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import PRIORITY_NORMAL, Environment, Event, SimulationError
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._scheduled = False
         self.resource = resource
         resource._request(self)
 
@@ -37,7 +44,7 @@ class Request(Event):
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self.cancel()
+        self.resource.release(self)
 
 
 class Resource:
@@ -63,7 +70,13 @@ class Resource:
     def _request(self, request: Request) -> None:
         if len(self.users) < self.capacity:
             self.users.append(request)
-            request.succeed()
+            # Granted now: push the heap entry request.succeed() would.
+            env = self.env
+            request._ok = True
+            request._scheduled = True
+            heappush(env._queue,
+                     (env._now, PRIORITY_NORMAL, env._sequence, request))
+            env._sequence += 1
         else:
             self.queue.append(request)
 

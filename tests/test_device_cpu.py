@@ -1,9 +1,10 @@
 """Unit tests for the CPU/cluster model."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.device import Device, NEXUS4, PIXEL2
-from repro.device.cpu import CPU, ClusterSpec
+from repro.device.cpu import CPU, Cluster, ClusterSpec
 from repro.sim import Environment
 
 
@@ -157,3 +158,40 @@ def test_offline_cores_prefer_keeping_big_cluster():
     device = Device(env, PIXEL2, online_cores=2, governor="PF")
     rates = [c.rate_hz for c in device.cpu.clusters if c.online_cores > 0]
     assert max(rates) == pytest.approx(2457e6 * 2.20)
+
+
+def reference_pick(clusters):
+    """The sort-then-max rule ``CPU._pick_cluster`` once spelled out."""
+    candidates = [c for c in clusters if c.online_cores > 0]
+    for cluster in sorted(candidates, key=lambda c: -c.rate_hz):
+        if cluster.pool.count < cluster.pool.capacity:
+            return cluster
+    return max(candidates, key=lambda c: c.rate_hz)
+
+
+# Few distinct ladders and IPCs, so equal rates (ties) are common.
+_cluster_states = st.tuples(
+    st.integers(1, 4),              # n_cores
+    st.integers(0, 4),              # online cores (clamped to n_cores)
+    st.integers(0, 2),              # ladder step
+    st.sampled_from([1.0, 2.0]),    # ipc
+    st.integers(0, 5),              # requests made on the pool
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(_cluster_states, min_size=1, max_size=4))
+def test_pick_cluster_matches_sort_then_max_rule(states):
+    assume(any(min(online, n) > 0 for n, online, *_ in states))
+    env = Environment()
+    specs = [ClusterSpec(f"c{i}", n, (300, 600, 600), ipc)
+             for i, (n, _, _, ipc, _) in enumerate(states)]
+    cpu = CPU(env, specs)
+    cpu.clusters = []
+    for spec, (n, online, step, _, requests) in zip(specs, states):
+        cluster = Cluster(env, spec, min(online, n))
+        cluster.set_freq_index(step)
+        for _ in range(requests):
+            cluster.pool.request()
+        cpu.clusters.append(cluster)
+    assert cpu._pick_cluster() is reference_pick(cpu.clusters)

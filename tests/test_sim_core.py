@@ -8,9 +8,11 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
+    Resource,
     SimulationError,
     Timeout,
 )
+from repro.sim.core import Initialize
 
 
 def test_time_starts_at_zero():
@@ -28,6 +30,47 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
+
+
+def test_nan_delay_rejected_not_a_false_deadlock():
+    # NaN passed a ``delay < 0`` guard and compares false both ways, so its
+    # heap entry stayed on top: run() stopped at once and raised
+    # SimDeadlock although the 1.0 timeout was still queued.
+    env = Environment()
+    fired = []
+
+    def sleeper():
+        yield env.timeout(1.0)
+        fired.append(env.now)
+
+    def bad():
+        yield env.timeout(float("nan"))
+
+    env.process(bad())
+    env.process(sleeper())
+    with pytest.raises(ValueError):
+        env.run()
+    env.run()
+    assert fired == [1.0]
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay=float("nan"))
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay=-1.0)
+
+
+def test_hot_path_events_have_no_instance_dict():
+    # Slots set by hand in each __init__; a subclass that forgets
+    # __slots__ would quietly bring back a per-instance __dict__.
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+
+    process = env.process(proc())
+    events = [env.timeout(1.0), Initialize(env, process), process,
+              Resource(env).request()]
+    for event in events:
+        assert not hasattr(event, "__dict__"), type(event).__name__
 
 
 def test_run_until_time_sets_now():
