@@ -1,16 +1,15 @@
-"""Figure-data export: CSV/JSON files for external plotting.
+"""Figure-data export: CSV files for external plotting.
 
 The benchmarks print text tables; downstream users who want to plot the
 reproduced figures with their own tooling can dump the underlying series
-with these helpers (used by the ``python -m repro`` CLI).
+with :func:`write_csv` (used by the ``python -m repro`` CLI).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def write_csv(path: str | Path, headers: Sequence[str],
@@ -26,14 +25,4 @@ def write_csv(path: str | Path, headers: Sequence[str],
     return target
 
 
-def write_json(path: str | Path, payload: Mapping) -> Path:
-    """Write one figure's data as pretty JSON; returns the path written."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
-
-
-__all__ = ["write_csv", "write_json"]
+__all__ = ["write_csv"]

@@ -62,7 +62,7 @@ from repro.core.pipeline import (
     dispatch,
     resolve_runlog,
 )
-from repro.obs.runlog import RUNLOG_VERSION, RunLog, snapshot_digest
+from repro.obs.runlog import RUNLOG_VERSION, RunLog
 from repro.parallel import Executor, SerialExecutor, SupervisionReport
 from repro.sim import StepBudgetExceeded
 
@@ -97,9 +97,13 @@ class TrialError(Exception):
 
 #: Journal schema version.  v2 added ``duration_wall_s``/``steps``/``metrics``;
 #: v3 dropped ``duration_wall_s`` from the *file* (host timing made journal
-#: bytes run-dependent; records still carry it in memory).  Older journals
-#: still load (missing fields default).
-JOURNAL_VERSION = 3
+#: bytes run-dependent; records still carry it in memory); v4 dropped
+#: ``metrics``, which no trial filled.  Older journals still load (missing
+#: fields default, unknown keys are ignored).
+JOURNAL_VERSION = 4
+
+#: Fields every journal row must carry; the rest default.
+_JOURNAL_ROW_KEYS = frozenset({"trial", "seed", "status"})
 
 
 @dataclass
@@ -114,7 +118,6 @@ class TrialRecord:
     attempts: int = 1
     duration_wall_s: float = 0.0
     steps: Optional[int] = None
-    metrics: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -125,7 +128,6 @@ class TrialRecord:
             "trial": self.trial, "seed": self.seed, "status": self.status,
             "value": self.value, "error": self.error, "attempts": self.attempts,
             "duration_wall_s": self.duration_wall_s, "steps": self.steps,
-            "metrics": self.metrics,
         }
 
     @classmethod
@@ -138,7 +140,6 @@ class TrialRecord:
             attempts=int(raw.get("attempts", 1)),
             duration_wall_s=float(raw.get("duration_wall_s", 0.0)),
             steps=None if steps is None else int(steps),
-            metrics=raw.get("metrics"),
         )
 
 
@@ -155,7 +156,7 @@ class RobustRunReport:
     #: retries), when the executor is supervised.  Deliberately absent
     #: from journals: how often the pool broke is a fact about the host,
     #: not the experiment — the same policy that keeps
-    #: ``duration_wall_s`` out of the v3 journal schema.
+    #: ``duration_wall_s`` out of the journal schema.
     supervision: Optional[SupervisionReport] = None
 
     @property
@@ -253,6 +254,10 @@ class RobustTrialRunner:
         except (OSError, ValueError) as error:
             raise TrialError(self.experiment, -1, 0,
                              f"unreadable journal {self.journal_path}: {error}")
+        if not isinstance(raw, dict):
+            raise TrialError(self.experiment, -1, 0,
+                             f"journal {self.journal_path} is not a JSON "
+                             f"object")
         if raw.get("experiment") != self.experiment:
             raise TrialError(
                 self.experiment, -1, 0,
@@ -268,10 +273,22 @@ class RobustTrialRunner:
                 f"would silently mix run shapes — delete the journal or "
                 f"rerun with trials={stored_trials}",
             )
-        return {
-            record.trial: record
-            for record in (TrialRecord.from_dict(r) for r in raw.get("records", []))
-        }
+        rows = raw.get("records", [])
+        if not isinstance(rows, list) or not all(
+                isinstance(row, dict) and _JOURNAL_ROW_KEYS <= row.keys()
+                for row in rows):
+            raise TrialError(
+                self.experiment, -1, 0,
+                f"journal {self.journal_path} has a record without "
+                f"{', '.join(sorted(_JOURNAL_ROW_KEYS))}",
+            )
+        try:
+            records = [TrialRecord.from_dict(row) for row in rows]
+        except (TypeError, ValueError) as error:
+            raise TrialError(self.experiment, -1, 0,
+                             f"malformed record in journal "
+                             f"{self.journal_path}: {error}")
+        return {record.trial: record for record in records}
 
     @staticmethod
     def _journal_row(record: TrialRecord) -> dict:
@@ -353,7 +370,6 @@ class RobustTrialRunner:
                 "trial_complete", trial=record.trial, status=record.status,
                 attempts=record.attempts, value=record.value,
                 steps=record.steps, error=record.error[:200],
-                metrics_digest=snapshot_digest(record.metrics),
                 host={"wall_s": round(record.duration_wall_s, 6)},
             )
         report.supervision = getattr(self.executor, "last_supervision", None)

@@ -25,7 +25,7 @@ from repro.device.catalog import (
     by_name,
 )
 from repro.device.cpu import CPU, ClusterSpec, CpuTask, DEFAULT_QUANTUM
-from repro.device.energy import DspPowerSpec, EnergyMeter, PowerSpec
+from repro.device.energy import EnergyMeter, PowerSpec
 from repro.device.governors import GOVERNOR_CODES, Governor, make_governor
 from repro.device.memory import MemoryModel, MemorySpec
 from repro.obs import metrics_of, tracer_of
@@ -128,13 +128,6 @@ class Device:
         """Extra working-set GB currently injected by memory faults."""
         return self._fault_pressure_gb
 
-    @property
-    def memory_pressure_multiplier(self) -> float:
-        """Current compute-cycle inflation from memory pressure."""
-        return self.memory.cycle_multiplier(
-            self._working_set_gb + self._fault_pressure_gb
-        )
-
     def submit(self, cycles: float, mem_stall: float = 0.0) -> CpuTask:
         """Schedule ``cycles`` of CPU work; returns a task handle."""
         return self.cpu.submit(cycles, mem_stall)
@@ -159,7 +152,6 @@ __all__ = [
     "ClusterSpec",
     "Device",
     "DeviceSpec",
-    "DspPowerSpec",
     "DspSpec",
     "EnergyMeter",
     "GOVERNOR_CODES",

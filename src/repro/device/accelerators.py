@@ -81,14 +81,6 @@ class AcceleratorSet:
     codec: Optional[HardwareCodec] = None
     dsp: Optional[DspSpec] = None
 
-    @property
-    def has_hw_decode(self) -> bool:
-        return self.codec is not None
-
-    @property
-    def has_dsp(self) -> bool:
-        return self.dsp is not None
-
 
 # Codec generations used by the catalog -------------------------------------
 

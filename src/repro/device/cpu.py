@@ -194,11 +194,6 @@ class CpuTask:
 
     def __init__(self, process: Process):
         self.done: Event = process
-        self._process = process
-
-    @property
-    def finished(self) -> bool:
-        return not self._process.is_alive
 
 
 class CPU:

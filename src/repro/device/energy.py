@@ -91,12 +91,4 @@ class EnergyMeter:
         return joules
 
 
-@dataclass(frozen=True)
-class DspPowerSpec:
-    """Power constants for the DSP coprocessor power domain."""
-
-    active_w: float = 0.28
-    idle_w: float = 0.006
-
-
-__all__ = ["DspPowerSpec", "EnergyMeter", "PowerSpec"]
+__all__ = ["EnergyMeter", "PowerSpec"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,6 @@ class CpuCostModel:
     def script_regex_ops(self, script: Script) -> float:
         """Reference ops spent in regex evaluation inside ``script``."""
         return sum(self.function_regex_ops(fn) for fn in script.functions)
-
-    def regex_fraction(self, scripts: Sequence[Script]) -> float:
-        """Share of total scripting work that is regex evaluation."""
-        total = sum(self.script_ops(s) for s in scripts)
-        if total == 0:
-            return 0.0
-        regex = sum(self.script_regex_ops(s) for s in scripts)
-        return regex / total
 
 
 __all__ = ["CpuCostModel", "JsFunction", "RegexCall", "Script"]

@@ -277,7 +277,6 @@ def run_project_lint(
             name = f"{name}@{display}"
         model.add_module(name, display, tree, source)
 
-    model.finish()
     for rule in project_rules:
         for finding in rule.check_project(model):
             suppressions = suppressions_by_path.get(finding.path, {})

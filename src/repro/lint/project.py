@@ -13,12 +13,12 @@ rules that need the whole program:
   ``repro.core.experiments.RobustTrialRunner._run_trial``) to their
   definitions;
 * a per-module import table resolves local names to qualified targets,
-  including ``import numpy as np`` aliases and relative imports;
-* an approximate call graph links each function to the project
-  functions it may call (unresolvable calls are simply absent — the
-  analyses on top treat "unknown" as benefit-of-the-doubt).
+  including ``import numpy as np`` aliases and relative imports, so
+  :meth:`ProjectModel.resolve_call` names the project function a call
+  may reach (unresolvable calls come back ``None`` — the analyses on top
+  treat "unknown" as benefit-of-the-doubt).
 
-Everything is built deterministically: modules, symbols, and edges are
+Everything is built deterministically: modules and symbols are
 stored and iterated in sorted order so repeated runs produce
 byte-identical reports (the linter holds itself to the determinism bar
 it enforces).
@@ -178,8 +178,6 @@ class ProjectModel:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: caller qualname -> sorted tuple of resolved callee qualnames.
-        self._calls: Dict[str, Tuple[str, ...]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -216,25 +214,6 @@ class ProjectModel:
                         info.methods[sub.name] = method
                         self.functions[method_qual] = method
                 self.classes[class_qual] = info
-
-    def finish(self) -> None:
-        """Freeze the model: build the approximate call graph."""
-        calls: Dict[str, Set[str]] = {}
-        for qualname in sorted(self.functions):
-            func = self.functions[qualname]
-            module = self.modules[func.module]
-            edges: Set[str] = set()
-            for node in ast.walk(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                resolved = self.resolve_call(module, node, func)
-                if resolved is None:
-                    continue
-                if resolved in self.functions or resolved in self.classes:
-                    edges.add(resolved)
-            calls[qualname] = edges
-        self._calls = {name: tuple(sorted(edges))
-                       for name, edges in calls.items()}
 
     # -- resolution -------------------------------------------------------
 
@@ -290,9 +269,6 @@ class ProjectModel:
         return self.resolve(module, dotted, func)
 
     # -- queries ----------------------------------------------------------
-
-    def callees(self, qualname: str) -> Tuple[str, ...]:
-        return self._calls.get(qualname, ())
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qualname in sorted(self.functions):

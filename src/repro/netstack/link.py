@@ -10,8 +10,8 @@ Because every flow sends in bounded chunks, FIFO interleaving approximates
 the per-flow fair share of a real queue at the timescales we report.
 
 Degradation hooks: the link exposes a small mutable overlay on top of its
-immutable :class:`LinkSpec` — packet loss (retransmission inflation), a
-rate factor, an extra per-transfer delay, and an up/down state.  Fault
+immutable :class:`LinkSpec` — packet loss (retransmission inflation), an
+extra per-transfer delay, and an up/down state.  Fault
 injectors (:mod:`repro.faults.link`) drive these over simulated time; the
 spec itself stays the clean-LAN baseline.
 """
@@ -63,7 +63,6 @@ class Link:
         self.env = env
         self.spec = spec
         self._line = Resource(env, capacity=1)
-        self._bytes_carried = 0.0
         # Observability handles, captured once (no-op when not installed).
         self._tracer = tracer_of(env)
         metrics = metrics_of(env)
@@ -73,14 +72,8 @@ class Link:
         self._m_outage_blocks = metrics.counter("net.link.outage_blocks")
         # Mutable degradation overlay (driven by fault injectors).
         self._loss = spec.loss
-        self._rate_factor = 1.0
         self._extra_delay_s = 0.0
         self._restore_event: Optional[Event] = None
-
-    @property
-    def bytes_carried(self) -> float:
-        """Total payload bytes delivered over the link so far."""
-        return self._bytes_carried
 
     # -- degradation overlay ------------------------------------------------
 
@@ -99,12 +92,6 @@ class Link:
         if not 0 <= loss < 1:
             raise ValueError(f"loss must lie in [0, 1), got {loss!r}")
         self._loss = loss
-
-    def set_rate_factor(self, factor: float) -> None:
-        """Scale the link capacity by ``factor`` in (0, 1]."""
-        if not math.isfinite(factor) or not 0 < factor <= 1:
-            raise ValueError(f"rate factor must lie in (0, 1], got {factor!r}")
-        self._rate_factor = factor
 
     def set_extra_delay(self, delay_s: float) -> None:
         """Add ``delay_s`` of one-way latency to every transfer."""
@@ -132,9 +119,9 @@ class Link:
         return nbytes / self.spec.bytes_per_s
 
     def effective_serialization_time(self, nbytes: float) -> float:
-        """Serialization time with loss retransmissions and rate degradation."""
+        """Serialization time with loss retransmissions."""
         wire_bytes = nbytes / (1.0 - self._loss)
-        return wire_bytes / (self.spec.bytes_per_s * self._rate_factor)
+        return wire_bytes / self.spec.bytes_per_s
 
     def transmit(self, nbytes: float):
         """Process: occupy the line for ``nbytes`` of payload."""
@@ -159,7 +146,6 @@ class Link:
                     yield self.env.timeout(self._extra_delay_s)
                 yield self.env.timeout(
                     self.effective_serialization_time(nbytes))
-                self._bytes_carried += nbytes
                 self._m_tx_bytes.inc(float(nbytes))
                 self._m_transfers.inc()
                 if self._loss > 0:

@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetrics,
-    merge_snapshots,
 )
 from repro.obs.perfstore import BudgetCheck, PerfEntry, PerfStore
 from repro.obs.progress import ProgressRenderer
@@ -59,7 +58,6 @@ from repro.obs.runlog import (
     deterministic_events,
     read_runlog,
     runlog_of,
-    snapshot_digest,
 )
 from repro.obs.tracer import (
     Instant,
@@ -136,11 +134,9 @@ __all__ = [
     "format_histogram",
     "histogram_quantile",
     "install",
-    "merge_snapshots",
     "metrics_json",
     "read_runlog",
     "runlog_of",
-    "snapshot_digest",
     "text_summary",
     "write_chrome_trace",
 ]

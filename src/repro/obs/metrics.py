@@ -8,8 +8,7 @@ host-level ``parallel.*`` supervision family (``parallel.pool_rebuilds``,
 ``parallel.task_retries``, ``parallel.quarantined`` counters and the
 ``parallel.live_workers`` gauge) — so a flat snapshot reads like a table
 of contents of one trial.  The ``parallel.*`` instruments measure the
-execution host, not the simulation, and therefore never enter journaled
-per-trial snapshots.
+execution host, not the simulation.
 
 Determinism: instruments hold plain Python floats/ints fed exclusively
 from simulated quantities, and :meth:`MetricsRegistry.snapshot` sorts by
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Any, Dict, Sequence, Union
+from typing import Dict, Sequence, Union
 
 #: Dotted, lowercase, at least two segments: ``subsystem.rest[.more]``.
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
@@ -191,55 +190,6 @@ class MetricsRegistry:
         return len(self._instruments)
 
 
-def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> dict:
-    """Deterministically merge flat :meth:`MetricsRegistry.snapshot` dicts.
-
-    Built for cross-trial aggregation when trials fan out to worker
-    processes: each worker returns its own snapshot, and the parent merges
-    them without needing the live registries.  Scalar instruments
-    (counters *and* gauges — a flat snapshot cannot tell them apart) are
-    summed; histogram dicts are merged bucket-wise (counts and sums add,
-    bucket labels union).  Callers that need a per-trial gauge reading
-    should consult the individual snapshots instead.
-
-    The output is sorted by name and depends only on the multiset of
-    inputs' contents and their order of first appearance — which callers
-    fix by passing snapshots in trial order — so merging N worker results
-    equals merging the same snapshots from a serial run.
-    """
-    merged: dict = {}
-    for snapshot in snapshots:
-        for name in sorted(snapshot):
-            value = snapshot[name]
-            existing = merged.get(name)
-            if isinstance(value, dict):
-                if existing is not None and not isinstance(existing, dict):
-                    raise ValueError(
-                        f"metric {name!r} is a histogram in one snapshot "
-                        f"and a scalar in another"
-                    )
-                bucket_sums: Dict[str, int] = (
-                    {} if existing is None else existing["buckets"]
-                )
-                for label, count in value.get("buckets", {}).items():
-                    bucket_sums[label] = bucket_sums.get(label, 0) + count
-                merged[name] = {
-                    "count": (0 if existing is None else existing["count"])
-                    + value.get("count", 0),
-                    "sum": (0.0 if existing is None else existing["sum"])
-                    + value.get("sum", 0.0),
-                    "buckets": bucket_sums,
-                }
-            else:
-                if existing is not None and isinstance(existing, dict):
-                    raise ValueError(
-                        f"metric {name!r} is a histogram in one snapshot "
-                        f"and a scalar in another"
-                    )
-                merged[name] = (0.0 if existing is None else existing) + value
-    return {name: merged[name] for name in sorted(merged)}
-
-
 class _NullInstrument:
     """No-op counter/gauge/histogram stand-in; one shared instance."""
 
@@ -289,5 +239,4 @@ __all__ = [
     "NULL_INSTRUMENT",
     "NULL_METRICS",
     "NullMetrics",
-    "merge_snapshots",
 ]

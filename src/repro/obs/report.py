@@ -1,4 +1,4 @@
-"""Unified run reports: journal + metrics + runlog in one document.
+"""Unified run reports: journals + runlog in one document.
 
 ``python -m repro report <path>`` takes a trial journal, a runlog, or a
 journal *directory* (the ``--journal DIR`` layout: one ``<experiment>.json``
@@ -9,13 +9,10 @@ the run as one self-contained text or HTML document:
 * a failure-taxonomy breakdown (crash / timeout / deadlock / error);
 * top-k slowest trials — by host wall time when a runlog is present,
   by kernel step count otherwise;
-* the cross-trial merged metric snapshot
-  (:func:`repro.obs.merge_snapshots` semantics, histograms rendered with
-  bucket-derived p50/p95);
 * the supervision timeline recovered from the runlog's host events
   (retries, pool rebuilds, hang reclamations, quarantines, drains).
 
-Version tolerance: journals of every ``JOURNAL_VERSION`` (1–3) load —
+Version tolerance: journals of every ``JOURNAL_VERSION`` (1–4) load —
 missing fields default, and a file without a ``version`` key is treated
 as v1.  Rows are handled as plain dicts on purpose: the report must be
 able to read journals written by *older* code than itself, so it depends
@@ -35,8 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.export import format_histogram
-from repro.obs.metrics import merge_snapshots
 from repro.obs.runlog import RUNLOG_NAME, Event, read_runlog
 
 #: Host events worth a timeline row (dispatch/complete are summarized).
@@ -69,10 +64,6 @@ class JournalView:
             if status != "ok":
                 counts[status] = counts.get(status, 0) + 1
         return {k: counts[k] for k in sorted(counts)}
-
-    def merged_metrics(self) -> Dict[str, Any]:
-        snapshots = [r["metrics"] for r in self.records if r.get("metrics")]
-        return merge_snapshots(snapshots)
 
 
 @dataclass
@@ -292,15 +283,6 @@ def render_text(data: ReportData, top_k: int = 3) -> str:
                 else f"trial {trial} ({int(value)} {unit})"
                 for trial, value in slowest)
             lines.append(f"  slowest: {rendered}")
-        merged = journal.merged_metrics()
-        if merged:
-            lines.append("  merged metrics:")
-            for name in sorted(merged):
-                value = merged[name]
-                if isinstance(value, dict):
-                    lines.append(f"    {format_histogram(name, value)}")
-                else:
-                    lines.append(f"    {name}: {value:g}")
     taxonomy = data.taxonomy()
     lines.append("")
     if taxonomy:
@@ -403,16 +385,6 @@ def render_html(data: ReportData, top_k: int = 3) -> str:
                 else f"trial {trial} ({int(value)} {unit})"
                 for trial, value in slowest)
             parts.append(f"<p class=\"meta\">slowest: {_esc(rendered)}</p>")
-        merged = journal.merged_metrics()
-        if merged:
-            parts.append("<table><tr><th>metric</th><th>value</th></tr>")
-            for name in sorted(merged):
-                value = merged[name]
-                shown = (format_histogram(name, value).split(": ", 1)[1]
-                         if isinstance(value, dict) else f"{value:g}")
-                parts.append(f"<tr><td><code>{_esc(name)}</code></td>"
-                             f"<td>{_esc(shown)}</td></tr>")
-            parts.append("</table>")
     taxonomy = data.taxonomy()
     parts.append("<h2>failure taxonomy</h2>")
     if taxonomy:

@@ -17,8 +17,7 @@ an ``event`` field naming the shape:
 
   - ``run_start`` — experiment, trials, pending, resumed, ``config``
     (jobs, max_attempts), ``runlog_version``;
-  - ``trial_complete`` — trial, status, attempts, value, steps, error,
-    ``metrics_digest`` (short hash of the canonical metric snapshot);
+  - ``trial_complete`` — trial, status, attempts, value, steps, error;
   - ``run_end`` — completed, failures, quarantined.
 
 * host events (:data:`HOST_EVENTS`), emitted by the supervisor:
@@ -44,7 +43,6 @@ rule OBS502 flags direct writes elsewhere.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -77,18 +75,6 @@ Listener = Callable[[Event], None]
 
 def _canonical(event: Event) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":"))
-
-
-def snapshot_digest(snapshot: Optional[Dict[str, Any]]) -> Optional[str]:
-    """Short stable digest of a metric snapshot (None when absent).
-
-    The digest is a 12-hex-character SHA-256 prefix of the canonical
-    JSON serialization — enough to tell two snapshots apart in a log
-    line without embedding the whole snapshot in every event.
-    """
-    if snapshot is None:
-        return None
-    return hashlib.sha256(_canonical(snapshot).encode()).hexdigest()[:12]
 
 
 class RunLog:
@@ -234,5 +220,4 @@ __all__ = [
     "deterministic_events",
     "read_runlog",
     "runlog_of",
-    "snapshot_digest",
 ]

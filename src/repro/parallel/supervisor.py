@@ -28,7 +28,7 @@ chaos-afflicted run's journal is *byte-identical* to a serial run's.
 
 Supervision events are host-level facts (how often the pool broke on
 this machine) and therefore deliberately stay out of journals — the same
-policy that keeps ``duration_wall_s`` out of the v3 journal schema.
+policy that keeps ``duration_wall_s`` out of the journal schema.
 They are observable through the ``parallel.*`` metrics namespace
 (``parallel.pool_rebuilds``, ``parallel.task_retries``,
 ``parallel.quarantined`` counters and the ``parallel.live_workers``

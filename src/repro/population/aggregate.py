@@ -1,8 +1,7 @@
 """Streaming fleet aggregation: count/mean/M2 + fixed-bucket histograms.
 
 The aggregator never retains per-session results.  Each QoE metric keeps
-one :class:`StreamingStat` (Welford count/mean/M2 with Chan's parallel
-merge) and one fixed-bucket :class:`~repro.obs.metrics.Histogram` per
+one :class:`StreamingStat` (Welford count/mean/M2) and one fixed-bucket :class:`~repro.obs.metrics.Histogram` per
 device tier (plus the ``"all"`` rollup), so peak state is
 O(tiers × metrics × buckets) — independent of how many sessions stream
 through.
@@ -14,7 +13,6 @@ Equivalences the tests pin down:
   stdev, same n/min/max; means agree to float tolerance).
 * Histogram snapshots use the exact
   :meth:`~repro.obs.metrics.Histogram.as_dict` shape, so
-  :func:`repro.obs.merge_snapshots` merges them and
   :func:`repro.obs.export.histogram_quantile` reads them unchanged.
 """
 
@@ -50,7 +48,7 @@ WORKLOAD_METRICS: Dict[str, Tuple[str, ...]] = {
 
 
 class StreamingStat:
-    """Welford count/mean/M2 accumulator with min/max and Chan merge.
+    """Welford count/mean/M2 accumulator with min/max.
 
     Matches :func:`repro.analysis.stats.summarize` semantics: population
     standard deviation (÷n), zeros for an empty stream.
@@ -74,25 +72,6 @@ class StreamingStat:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-
-    def merge(self, other: "StreamingStat") -> None:
-        """Fold ``other`` in (Chan et al. parallel combination)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
 
     @property
     def stdev(self) -> float:
@@ -126,14 +105,6 @@ class _Series:
     def add(self, value: float) -> None:
         self.stat.add(value)
         self.hist.observe(value)
-
-    def merge(self, other: "_Series") -> None:
-        self.stat.merge(other.stat)
-        for i, count in enumerate(other.hist.bucket_counts):
-            self.hist.bucket_counts[i] += count
-        self.hist.overflow += other.hist.overflow
-        self.hist.count += other.hist.count
-        self.hist.sum += other.hist.sum
 
     def as_dict(self) -> dict:
         entry = self.stat.as_dict()
@@ -194,18 +165,6 @@ class FleetAggregator:
             value = metrics[metric]
             self._get(workload, metric, tier).add(value)
             self._get(workload, metric, ALL_TIER).add(value)
-
-    def merge(self, other: "FleetAggregator") -> None:
-        """Fold another aggregator in (chunked / tree aggregation)."""
-        self.sessions += other.sessions
-        for counts, theirs in ((self.failures, other.failures),
-                               (self.tiers, other.tiers),
-                               (self.workloads, other.workloads),
-                               (self.networks, other.networks)):
-            for key, n in theirs.items():
-                counts[key] = counts.get(key, 0) + n
-        for (workload, metric, tier), series in other._series.items():
-            self._get(workload, metric, tier).merge(series)
 
     def snapshot(self) -> dict:
         """Canonical nested view, sorted at every level (JSON-stable)."""

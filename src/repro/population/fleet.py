@@ -20,7 +20,7 @@ count, cold or warm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache import (
     KIND_PICKLE,
@@ -176,32 +176,6 @@ class FleetReport:
         if entry is None:
             return 0.0
         return histogram_quantile(entry["hist"], q)
-
-    def cdf(self, workload: str, metric: str,
-            tier: str = ALL_TIER) -> List[Tuple[float, float]]:
-        """Bucket-bound CDF points ``(bound, P(value <= bound))``.
-
-        Covers the finite bucket bounds; mass beyond the last bound (the
-        ``+Inf`` overflow bucket) keeps the final probability below 1.
-        """
-        entry = self.series(workload, metric).get(tier)
-        if entry is None:
-            return []
-        hist = entry["hist"]
-        count = hist.get("count", 0)
-        if count <= 0:
-            return []
-        finite = sorted(
-            (float(label), n)
-            for label, n in hist.get("buckets", {}).items()
-            if label != "+Inf"
-        )
-        points: List[Tuple[float, float]] = []
-        cumulative = 0
-        for bound, n in finite:
-            cumulative += n
-            points.append((bound, cumulative / count))
-        return points
 
     def to_json(self) -> str:
         """Canonical aggregate JSON — byte-identical across worker counts."""

@@ -207,12 +207,6 @@ def compile_ast(node: ast.Node, n_groups: int, pattern: str) -> Program:
     return Program(compiler.insts, n_groups, pattern)
 
 
-def compile_pattern(pattern: str) -> Program:
-    """Parse and compile ``pattern`` in one step."""
-    node, n_groups = ast.parse(pattern)
-    return compile_ast(node, n_groups, pattern)
-
-
 __all__ = [
     "ANY",
     "ASSERT",
@@ -225,5 +219,4 @@ __all__ = [
     "SAVE",
     "SPLIT",
     "compile_ast",
-    "compile_pattern",
 ]

@@ -8,7 +8,7 @@ Public API:
 
 * :class:`Environment` — the event loop and simulated clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — awaitable events.
-* :class:`AllOf`, :class:`AnyOf` — event composition.
+* :class:`AllOf` — fires when every composed event has fired.
 * :class:`Resource` — limited-capacity resource with FIFO queueing.
 * :class:`Store` — producer/consumer buffer of Python objects.
 * :class:`Container` — continuous-level reservoir (e.g. playback buffer).
@@ -19,7 +19,6 @@ Public API:
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -33,7 +32,6 @@ from repro.sim.resources import Container, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Environment",
     "Event",

@@ -93,16 +93,6 @@ class Event:
         self._scheduled = False
 
     @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled to fire."""
-        return self._scheduled
-
-    @property
-    def processed(self) -> bool:
-        """True once all callbacks have been executed."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event fired successfully (not with :meth:`fail`)."""
         if self._ok is None:
@@ -311,8 +301,12 @@ class Process(Event):
             return
 
 
-class ConditionEvent(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composition events."""
+class AllOf(Event):
+    """Fires when every composed event has fired.
+
+    Succeeds with ``{event: value}`` over the composed events, or fails
+    with the exception of the first composed event that fails.
+    """
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -325,18 +319,8 @@ class ConditionEvent(Event):
                 self._observe(event)
             else:
                 event.callbacks.append(self._observe)
-        self._check_initial()
-
-    def _check_initial(self) -> None:
-        if not self.events and not self._scheduled:
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, Any]:
-        return {
-            event: event._value
-            for event in self.events
-            if event._ok is not None and event._ok
-        }
+        if not self.events:
+            self.succeed({})
 
     def _observe(self, event: Event) -> None:
         if self._scheduled:
@@ -345,29 +329,9 @@ class ConditionEvent(Event):
             self.fail(event._value)
             return
         self._fired_count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Fires when every composed event has fired."""
-
-    def _satisfied(self) -> bool:
-        return self._fired_count == len(self.events)
-
-
-class AnyOf(ConditionEvent):
-    """Fires as soon as any composed event fires."""
-
-    def _check_initial(self) -> None:
-        if not self.events and not self._scheduled:
-            self.succeed({})
-
-    def _satisfied(self) -> bool:
-        return self._fired_count >= 1
+        if self._fired_count == len(self.events):
+            self.succeed({composed: composed._value
+                          for composed in self.events})
 
 
 class Environment:
@@ -479,10 +443,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

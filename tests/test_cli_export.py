@@ -1,11 +1,10 @@
 """Tests for the CLI and data-export helpers."""
 
 import csv
-import json
 
 import pytest
 
-from repro.analysis.export import write_csv, write_json
+from repro.analysis.export import write_csv
 from repro.cli import build_parser, main
 
 
@@ -15,11 +14,6 @@ def test_write_csv_roundtrip(tmp_path):
     with path.open() as handle:
         rows = list(csv.reader(handle))
     assert rows == [["x", "y"], ["1", "2.5"], ["3", "4.5"]]
-
-
-def test_write_json_roundtrip(tmp_path):
-    path = write_json(tmp_path / "fig.json", {"series": [1, 2, 3]})
-    assert json.loads(path.read_text()) == {"series": [1, 2, 3]}
 
 
 def test_parser_accepts_known_figures():

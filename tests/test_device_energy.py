@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.session import simulate
 from repro.device import Device, NEXUS4, PIXEL2, PowerSpec
-from repro.device.energy import DspPowerSpec, EnergyMeter
+from repro.device.energy import EnergyMeter
 from repro.netstack import LinkSpec
 from repro.population import FleetRunner, PopulationConfig
 from repro.sim import Environment
@@ -81,12 +81,6 @@ def test_pixel2_scripting_power_calibration():
     env.run(task.done)
     avg_watts = device.energy.energy_j / env.now
     assert 0.8 < avg_watts < 1.8
-
-
-def test_dsp_power_spec_defaults():
-    spec = DspPowerSpec()
-    assert spec.active_w < 0.5
-    assert spec.idle_w < spec.active_w
 
 
 def _probed_page_load(samples: list):

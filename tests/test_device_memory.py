@@ -66,7 +66,7 @@ def test_device_applies_working_set_multiplier():
     env = Environment()
     device = Device(env, NEXUS4, pinned_mhz=1512, memory_gb=0.5)
     device.set_working_set(0.38)
-    assert device.memory_pressure_multiplier > 1.5
+    assert device.memory.cycle_multiplier(0.38) > 1.5
     task = device.submit(1e9)
     env.run(task.done)
     base = 1e9 / (1512e6 * 1.40)

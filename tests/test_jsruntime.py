@@ -74,15 +74,6 @@ def test_function_and_script_totals():
     assert cost.script_regex_ops(script) == pytest.approx(regex_ops)
 
 
-def test_regex_fraction():
-    cost = CpuCostModel()
-    call = RegexCall("p", 10, "test", pike_ops=0, dfa_ops=1000)
-    heavy = Script("h.js", 0, (JsFunction("f", 0.0 + 1, (call,)),))
-    plain = Script("p.js", 0, (JsFunction("g", 1e6),))
-    fraction = cost.regex_fraction([heavy, plain])
-    assert 0 < fraction < 1
-
-
 def test_has_regex_flag():
     assert not JsFunction("f", 1e6).has_regex
     call = RegexCall("p", 1, "test", 1, 1)

@@ -75,11 +75,13 @@ def test_model_resolves_imports_and_calls(tmp_path):
         source = (tmp_path / rel).read_text()
         model.add_module(module_name_for(tmp_path / rel), rel,
                          ast.parse(source), source)
-    model.finish()
     assert "pkg.lib.helper" in model.functions
     app = model.modules["pkg.app"]
     assert model.resolve(app, "h") == "pkg.lib.helper"
-    assert "pkg.lib.helper" in model.callees("pkg.app.entry")
+    entry = model.functions["pkg.app.entry"]
+    (call,) = [node for node in ast.walk(entry.node)
+               if isinstance(node, ast.Call)]
+    assert model.resolve_call(app, call, entry) == "pkg.lib.helper"
 
 
 # -- DF701: RNG provenance -------------------------------------------------

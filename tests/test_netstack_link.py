@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netstack import Link, LinkSpec
+from repro.obs import install
 from repro.sim import Environment
 
 
@@ -46,6 +47,7 @@ def test_serialization_time():
 
 def test_transmit_occupies_line():
     env = Environment()
+    _, metrics = install(env)
     link = Link(env, LinkSpec(goodput_bps=8e6))
     done = []
 
@@ -57,7 +59,7 @@ def test_transmit_occupies_line():
     env.process(sender("b", 500_000))
     env.run()
     assert done == [("a", pytest.approx(0.5)), ("b", pytest.approx(1.0))]
-    assert link.bytes_carried == 1_000_000
+    assert metrics.snapshot()["net.link.tx_bytes"] == 1_000_000
 
 
 def test_transmit_rejects_negative():
@@ -86,17 +88,13 @@ def test_transmit_rejects_degenerate_sizes(nbytes):
         env.run()
 
 
-def test_set_loss_and_rate_factor_validation():
+def test_set_loss_and_extra_delay_validation():
     env = Environment()
     link = Link(env)
     with pytest.raises(ValueError):
         link.set_loss(1.0)
     with pytest.raises(ValueError):
         link.set_loss(-0.1)
-    with pytest.raises(ValueError):
-        link.set_rate_factor(0.0)
-    with pytest.raises(ValueError):
-        link.set_rate_factor(1.5)
     with pytest.raises(ValueError):
         link.set_extra_delay(-1.0)
 
@@ -109,21 +107,6 @@ def test_loss_inflates_serialization_time():
     assert link.effective_serialization_time(1_000_000) == pytest.approx(2.0)
     link.set_loss(0.0)
     assert link.effective_serialization_time(1_000_000) == pytest.approx(1.0)
-
-
-def test_rate_factor_slows_transfer():
-    env = Environment()
-    link = Link(env, LinkSpec(goodput_bps=8e6))
-    link.set_rate_factor(0.5)
-    done = []
-
-    def sender():
-        yield from link.transmit(1_000_000)
-        done.append(env.now)
-
-    env.process(sender())
-    env.run(until=10.0)
-    assert done == [pytest.approx(2.0)]
 
 
 def test_bring_up_without_outage_is_a_no_op():

@@ -77,9 +77,19 @@ def test_v2_journal_with_wall_and_metrics_loads(tmp_path):
             record(1, duration_wall_s=0.7, steps=140,
                    metrics={"sim.steps": 140.0})]
     path = write_journal(tmp_path / "j.json", rows, version=2)
-    journal = load_report_data(path).journals[0]
+    data = load_report_data(path)
+    journal = data.journals[0]
     assert journal.version == 2
-    assert journal.merged_metrics() == {"sim.steps": 240.0}
+    assert journal.completed == 2
+    assert [r["steps"] for r in journal.records] == [100, 140]
+    text, page = render_text(data), render_html(data)
+    assert "experiment exp (journal v2, 2 trials)" in text
+    assert "slowest: trial 1 (140 steps), trial 0 (100 steps)" in text
+    assert "(journal v2, 2 trials)" in page
+    # The v2 ``metrics`` snapshots load but render nowhere.
+    for document in (text, page):
+        assert "sim.steps" not in document
+        assert "merged metrics" not in document
 
 
 def test_live_v3_journal_loads_without_importing_trial_record(tmp_path):
@@ -211,7 +221,7 @@ def chaos_report_data(tmp_path):
 def test_text_report_covers_chaos_run(tmp_path):
     data = chaos_report_data(tmp_path)
     text = render_text(data)
-    assert "experiment chaos (journal v3, 3 trials)" in text
+    assert f"experiment chaos (journal v{JOURNAL_VERSION}, 3 trials)" in text
     assert "quarantined" in text           # taxonomy row from the journal
     assert "pool_rebuild(workers=2)" in text
     assert "quarantine(" in text           # supervision timeline entry
@@ -279,15 +289,6 @@ def test_top_k_limits_slowest_list():
     text = render_text(ReportData(journals=[journal]), top_k=1)
     assert "slowest: trial 3 (300 steps)" in text
     assert "trial 2 (200" not in text
-
-
-def test_histograms_render_with_bucket_quantiles(tmp_path):
-    hist = {"count": 4, "sum": 10.0,
-            "buckets": {"1": 1, "5": 2, "+Inf": 1}}
-    rows = [record(0, metrics={"plt.ms": hist})]
-    text = render_text(load_report_data(
-        write_journal(tmp_path / "j.json", rows)))
-    assert "plt.ms: n=4 sum=10.000 mean=2.500 p50<=5 p95<=+Inf" in text
 
 
 # -- CLI ---------------------------------------------------------------------

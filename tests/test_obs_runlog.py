@@ -21,7 +21,6 @@ from repro.obs.runlog import (
     deterministic_events,
     read_runlog,
     runlog_of,
-    snapshot_digest,
 )
 from repro.parallel.chaos import (
     CHAOS_CRASH,
@@ -123,15 +122,6 @@ def test_read_runlog_tolerates_truncated_tail(tmp_path):
         fh.write('{"event":"trial_co')
     events = read_runlog(path)
     assert [e["event"] for e in events] == ["run_start", "run_end"]
-
-
-def test_snapshot_digest_is_short_stable_and_none_safe():
-    snapshot = {"sim.steps": 10.0, "net.tx": 3.0}
-    digest = snapshot_digest(snapshot)
-    assert digest == snapshot_digest(dict(reversed(list(snapshot.items()))))
-    assert len(digest) == 12 and int(digest, 16) >= 0
-    assert snapshot_digest({"sim.steps": 11.0}) != digest
-    assert snapshot_digest(None) is None
 
 
 # -- deterministic view -----------------------------------------------------

@@ -11,7 +11,6 @@ from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
     Tracer,
-    merge_snapshots,
     metrics_of,
     tracer_of,
 )
@@ -170,78 +169,3 @@ def test_null_metrics_hands_out_the_shared_null_instrument():
     counter.set(5.0)
     counter.observe(1.0)
     assert NULL_METRICS.snapshot() == {}
-
-
-# -- merge_snapshots --------------------------------------------------------
-
-def test_merge_snapshots_sums_scalars_and_merges_histograms():
-    first = MetricsRegistry()
-    first.counter("net.tx").inc(10.0)
-    first.histogram("plt.ms", buckets=(1.0, 10.0)).observe(0.5)
-    second = MetricsRegistry()
-    second.counter("net.tx").inc(5.0)
-    second.counter("net.rx").inc(1.0)
-    second.histogram("plt.ms", buckets=(1.0, 10.0)).observe(5.0)
-
-    merged = merge_snapshots([first.snapshot(), second.snapshot()])
-    assert list(merged) == sorted(merged)
-    assert merged["net.tx"] == 15.0
-    assert merged["net.rx"] == 1.0
-    assert merged["plt.ms"]["count"] == 2
-    assert merged["plt.ms"]["sum"] == pytest.approx(5.5)
-
-
-def test_merge_snapshots_is_order_robust_for_totals():
-    a = {"x": 1.0}
-    b = {"x": 2.0, "y": 3.0}
-    assert merge_snapshots([a, b]) == merge_snapshots([b, a])
-    assert merge_snapshots([]) == {}
-
-
-def test_merge_snapshots_unions_disjoint_instrument_sets():
-    a = {"net.tx": 2.0}
-    b = {"plt.ms": {"count": 1, "sum": 3.0, "buckets": {"+Inf": 1}}}
-    c = {"cpu.busy": 0.5}
-    merged = merge_snapshots([a, b, c])
-    assert list(merged) == ["cpu.busy", "net.tx", "plt.ms"]
-    assert merged["net.tx"] == 2.0 and merged["cpu.busy"] == 0.5
-    assert merged["plt.ms"]["count"] == 1
-
-
-def test_merge_snapshots_unions_histogram_bucket_labels():
-    a = {"plt.ms": {"count": 2, "sum": 3.0, "buckets": {"1": 1, "+Inf": 1}}}
-    b = {"plt.ms": {"count": 1, "sum": 9.0, "buckets": {"10": 1}}}
-    merged = merge_snapshots([a, b])
-    assert merged["plt.ms"] == {
-        "count": 3,
-        "sum": 12.0,
-        "buckets": {"1": 1, "+Inf": 1, "10": 1},
-    }
-
-
-def test_merge_snapshots_totals_survive_shuffled_completion_order():
-    import random
-
-    registries = []
-    for seed in range(6):
-        registry = MetricsRegistry()
-        registry.counter("net.tx").inc(float(seed))
-        # Binary-exact values keep the float sum order-independent, so
-        # the merged dicts can be compared exactly.
-        registry.histogram("plt.ms", buckets=(1.0, 10.0)).observe(seed * 0.5)
-        registries.append(registry)
-    snapshots = [r.snapshot() for r in registries]
-    baseline = merge_snapshots(snapshots)
-    for seed in range(4):
-        shuffled = list(snapshots)
-        random.Random(seed).shuffle(shuffled)
-        assert merge_snapshots(shuffled) == baseline
-
-
-def test_merge_snapshots_rejects_scalar_histogram_mix():
-    scalar = {"m": 1.0}
-    hist = {"m": {"count": 1, "sum": 1.0, "buckets": {"+Inf": 1}}}
-    with pytest.raises(ValueError, match="histogram in one snapshot"):
-        merge_snapshots([scalar, hist])
-    with pytest.raises(ValueError, match="histogram in one snapshot"):
-        merge_snapshots([hist, scalar])

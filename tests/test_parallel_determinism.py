@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from repro.core.background import make_rng
-from repro.core.experiments import RobustTrialRunner
+from repro.core.experiments import JOURNAL_VERSION, RobustTrialRunner
 from repro.parallel import SerialExecutor, SupervisedExecutor
 from repro.sim import Interrupt
 
@@ -72,5 +72,5 @@ def test_multiprocess_journal_bytes_match_serial(trials, workers):
              pooled_journal)
         assert serial_journal.read_bytes() == pooled_journal.read_bytes()
         payload = json.loads(serial_journal.read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == JOURNAL_VERSION
         assert len(payload["records"]) == trials

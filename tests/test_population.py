@@ -5,10 +5,7 @@ The load-bearing guarantees, in test order:
 * config validation rejects every malformed knob with a clear message;
 * the session sampler is a pure function of ``(config, index)``;
 * ``StreamingStat`` matches :func:`repro.analysis.stats.summarize` on
-  any ordering of any value stream (hypothesis), and Chan-merging
-  chunked accumulators matches one streaming pass;
-* aggregator histograms use the exact :mod:`repro.obs.metrics` snapshot
-  shape, so :func:`merge_snapshots` merges them unchanged;
+  any ordering of any value stream (hypothesis);
 * the fleet runner's aggregate JSON is byte-identical across worker
   counts, under injected chaos, and across cold/warm cache runs, while
   its in-memory state stays O(tiers × metrics × buckets).
@@ -25,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import cdf_points, summarize
 from repro.cache import TrialCache
-from repro.obs.metrics import merge_snapshots
 from repro.obs.runlog import RunLog
 from repro.parallel import get_executor
 from repro.parallel.chaos import (
@@ -161,22 +157,6 @@ def test_streaming_stat_matches_batch_summarize(values, rng):
     assert math.isclose(stat.stdev, batch.stdev, rel_tol=1e-6, abs_tol=1e-9)
 
 
-@given(streams, st.integers(min_value=1, max_value=59))
-@settings(max_examples=100, deadline=None)
-def test_streaming_stat_chan_merge_matches_one_pass(values, split):
-    split = min(split, len(values))
-    left, right = StreamingStat(), StreamingStat()
-    for value in values[:split]:
-        left.add(value)
-    for value in values[split:]:
-        right.add(value)
-    left.merge(right)
-    batch = summarize(values)
-    assert left.count == batch.n
-    assert math.isclose(left.mean, batch.mean, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(left.stdev, batch.stdev, rel_tol=1e-6, abs_tol=1e-9)
-
-
 def test_streaming_stat_empty_stream_renders_zeros():
     assert StreamingStat().as_dict() == {
         "n": 0, "mean": 0.0, "stdev": 0.0, "min": 0.0, "max": 0.0}
@@ -206,56 +186,6 @@ def test_aggregator_series_matches_batch_summarize(values, rng):
     assert entry["max"] == batch.maximum
     assert math.isclose(entry["mean"], batch.mean, rel_tol=1e-9, abs_tol=1e-9)
     assert entry["hist"]["count"] == len(values)
-
-
-@given(streams, st.integers(min_value=1, max_value=59))
-@settings(max_examples=50, deadline=None)
-def test_aggregator_merge_matches_single_stream(values, split):
-    split = min(split, len(values))
-    whole, left, right = (FleetAggregator() for _ in range(3))
-    observe_values(whole, values)
-    observe_values(left, values[:split])
-    observe_values(right, values[split:])
-    left.merge(right)
-    whole_snap, merged_snap = whole.snapshot(), left.snapshot()
-    assert merged_snap["sessions"] == whole_snap["sessions"]
-    whole_entry = whole_snap["series"]["web"]["plt_s"][ALL_TIER]
-    merged_entry = merged_snap["series"]["web"]["plt_s"][ALL_TIER]
-    # Bucket populations are integer counts: chunked merging is exact.
-    # The histogram's running sum is a float accumulation, so chunk
-    # order can move it by an ulp — same tolerance as the mean.
-    assert merged_entry["hist"]["buckets"] == whole_entry["hist"]["buckets"]
-    assert merged_entry["hist"]["count"] == whole_entry["hist"]["count"]
-    assert math.isclose(merged_entry["hist"]["sum"],
-                        whole_entry["hist"]["sum"],
-                        rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(merged_entry["mean"], whole_entry["mean"],
-                        rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(streams, st.integers(min_value=1, max_value=59))
-@settings(max_examples=50, deadline=None)
-def test_aggregator_histograms_merge_via_merge_snapshots(values, split):
-    split = min(split, len(values))
-    whole, left, right = (FleetAggregator() for _ in range(3))
-    observe_values(whole, values)
-    observe_values(left, values[:split])
-    observe_values(right, values[split:])
-
-    def hist_snapshot(aggregator):
-        entry = aggregator.snapshot()["series"].get("web", {}).get(
-            "plt_s", {}).get(ALL_TIER)
-        return {} if entry is None else {"population.web.plt_s":
-                                         entry["hist"]}
-
-    merged = merge_snapshots([hist_snapshot(left), hist_snapshot(right)])
-    expected = hist_snapshot(whole)
-    assert set(merged) == set(expected)
-    for name, hist in expected.items():
-        assert merged[name]["buckets"] == hist["buckets"]
-        assert merged[name]["count"] == hist["count"]
-        assert math.isclose(merged[name]["sum"], hist["sum"],
-                            rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_aggregator_counts_failures_without_metrics():
@@ -430,17 +360,13 @@ def test_aggregate_state_is_independent_of_session_count():
     assert abs(shapes[1] - shapes[0]) <= 4
 
 
-def test_report_quantiles_and_cdf_read_the_histograms():
+def test_report_quantiles_read_the_histograms():
     report = FleetRunner(small_config()).run()
     for workload, metrics in WORKLOAD_METRICS.items():
         for metric in metrics:
             entry = report.series(workload, metric).get(ALL_TIER)
             if entry is None:
                 continue
-            points = report.cdf(workload, metric)
-            probs = [p for _, p in points]
-            assert probs == sorted(probs)
-            assert all(0.0 <= p <= 1.0 for p in probs)
             p50 = report.quantile(workload, metric, 0.5)
             p99 = report.quantile(workload, metric, 0.99)
             assert p50 <= p99

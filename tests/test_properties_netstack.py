@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import Device, NEXUS4
 from repro.netstack import HostStack, Link, LinkSpec, TcpConnection
+from repro.obs import install
 from repro.sim import Environment
 
 
 def _session(mhz: int, link_spec: LinkSpec):
     env = Environment()
+    install(env)
     device = Device(env, NEXUS4, pinned_mhz=mhz)
     link = Link(env, link_spec)
     stack = HostStack(env, device)
@@ -30,7 +32,7 @@ def test_receive_conserves_bytes(nbytes, mhz):
     env.run(env.process(fetch()))
     assert conn.bytes_downloaded == nbytes
     assert stack.rx_bytes >= nbytes
-    assert link.bytes_carried >= nbytes
+    assert env.metrics.snapshot()["net.link.tx_bytes"] >= nbytes
 
 
 @settings(max_examples=30, deadline=None)

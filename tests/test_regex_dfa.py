@@ -7,11 +7,10 @@ import pytest
 from repro.regexlib import Regex
 from repro.regexlib.dfa import DfaUnsupported, LazyDfa
 from repro.regexlib.pikevm import Counter
-from repro.regexlib.program import compile_pattern
 
 
 def dfa_for(pattern):
-    return LazyDfa(compile_pattern(pattern))
+    return LazyDfa(Regex(pattern).program)
 
 
 @pytest.mark.parametrize("pattern,subject,expected", [

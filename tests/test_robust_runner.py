@@ -286,6 +286,49 @@ def test_corrupt_journal_raises_trial_error(tmp_path):
         runner.run(lambda seed: 1.0, resume=True)
 
 
+@pytest.mark.parametrize("payload", [
+    [],
+    {"experiment": "malformed", "trials": 1,
+     "records": [{"seed": 1, "status": "ok", "value": 1.0}]},
+], ids=["top-level-list", "row-without-trial"])
+def test_malformed_journal_raises_trial_error_naming_the_file(tmp_path,
+                                                              payload):
+    journal = tmp_path / "journal.json"
+    journal.write_text(json.dumps(payload))
+    runner = RobustTrialRunner(trials=1, experiment="malformed",
+                               journal_path=journal)
+    with pytest.raises(TrialError, match="journal.json"):
+        runner.run(lambda seed: 1.0, resume=True)
+
+
+def test_v3_journal_resumes_without_rerunning_and_is_rewritten_as_v4(
+        tmp_path):
+    journal = tmp_path / "journal.json"
+    runner = RobustTrialRunner(trials=3, experiment="v3", max_attempts=1,
+                               journal_path=journal)
+    runner.run(lambda seed: float(seed % 5))
+    current = journal.read_bytes()
+    # The v3 layout: same rows plus an always-null ``metrics`` key.
+    payload = json.loads(current)
+    assert payload["version"] == 4
+    assert all("metrics" not in row for row in payload["records"])
+    payload["version"] = 3
+    for row in payload["records"]:
+        row["metrics"] = None
+    journal.write_text(json.dumps(payload, indent=1, sort_keys=True))
+
+    executed: list[int] = []
+
+    def observed(seed: int) -> float:
+        executed.append(seed)
+        return float(seed % 5)
+
+    report = runner.run(observed, resume=True)
+    assert executed == []
+    assert report.resumed == 3
+    assert journal.read_bytes() == current
+
+
 # -- record round trip and validation ---------------------------------------
 
 def test_trial_record_round_trip():
@@ -303,7 +346,7 @@ def test_constructor_validation():
         FaultStudyConfig(step_budget=0)
 
 
-# -- steps and metrics fields -----------------------------------------------
+# -- steps field -------------------------------------------------------------
 
 @dataclass
 class _RunawayTrial:
@@ -334,16 +377,20 @@ def test_successful_trial_leaves_steps_and_metrics_unset():
     runner = RobustTrialRunner(trials=1, experiment="plain")
     (record,) = runner.run(lambda seed: 1.0).records
     assert record.ok
-    assert record.metrics is None and record.steps is None
+    assert record.steps is None
+    assert not hasattr(record, "metrics")
+    assert "metrics" not in record.as_dict()
 
 
 def test_trial_record_round_trips_new_fields():
     record = TrialRecord(trial=1, seed=9, status="ok", value=2.0,
-                         duration_wall_s=0.25, steps=100,
-                         metrics={"sim.steps": 100.0})
+                         duration_wall_s=0.25, steps=100)
     assert TrialRecord.from_dict(record.as_dict()) == record
     # v1 journal rows (without the new fields) still load with defaults.
     legacy = TrialRecord.from_dict(
         {"trial": 0, "seed": 1, "status": "ok", "value": 1.0})
     assert legacy.duration_wall_s == 0.0
-    assert legacy.steps is None and legacy.metrics is None
+    assert legacy.steps is None
+    # v2/v3 rows carry a ``metrics`` key this version ignores.
+    assert TrialRecord.from_dict(
+        {**record.as_dict(), "metrics": {"sim.steps": 100.0}}) == record

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -221,19 +220,6 @@ def test_all_of_waits_for_every_event():
     assert times == [5]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    times = []
-
-    def proc():
-        yield env.any_of([env.timeout(4), env.timeout(2)])
-        times.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert times == [2]
-
-
 def test_all_of_empty_fires_immediately():
     env = Environment()
     done = []
@@ -260,6 +246,49 @@ def test_all_of_collects_values():
     env.process(proc())
     env.run()
     assert sorted(collected.values()) == ["a", "b"]
+
+
+def test_all_of_fails_with_the_first_failing_event():
+    env = Environment()
+    gate = env.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield env.all_of([env.timeout(5), gate])
+        except RuntimeError as error:
+            caught.append((env.now, str(error)))
+
+    def firer():
+        yield env.timeout(1)
+        gate.fail(RuntimeError("boom"))
+
+    env.process(waiter())
+    env.process(firer())
+    env.run()
+    assert caught == [(1, "boom")]
+
+
+def test_all_of_rejects_events_of_another_environment():
+    env, other = Environment(), Environment()
+    with pytest.raises(SimulationError, match="share the env"):
+        AllOf(env, [env.event(), other.event()])
+
+
+def test_all_of_over_processed_events_fires_with_their_values():
+    env = Environment()
+    first, second = env.timeout(1, value="a"), env.timeout(2, value="b")
+    env.run()
+    assert first.callbacks is None and second.callbacks is None
+    seen = []
+
+    def proc():
+        values = yield env.all_of([first, second])
+        seen.append((env.now, values))
+
+    env.process(proc())
+    env.run()
+    assert seen == [(2, {first: "a", second: "b"})]
 
 
 def test_interrupt_throws_into_process():
