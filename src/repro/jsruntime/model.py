@@ -53,10 +53,6 @@ class Script:
     compile_ops: float
     functions: tuple[JsFunction, ...]
 
-    @property
-    def regex_functions(self) -> tuple[JsFunction, ...]:
-        return tuple(fn for fn in self.functions if fn.has_regex)
-
 
 @dataclass(frozen=True)
 class CpuCostModel:

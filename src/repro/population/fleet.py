@@ -19,7 +19,7 @@ count, cold or warm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.cache import (
@@ -214,18 +214,43 @@ class FleetRunner:
         # every worker loads the identical pages.
         self.corpus: Tuple[PageSpec, ...] = tuple(
             generate_corpus(config.n_pages))
+        # The last session task built and the keyer derived from it.
+        self._task: Optional[_SessionTask] = None
+        self._keyer: Optional[TrialKeyer] = None
+
+    def _keyed_task(self, cache: Optional[TrialCache]
+                    ) -> Tuple[_SessionTask, Optional[TrialKeyer]]:
+        """This run's session task and its keyer bound to ``cache``.
+
+        Deriving a keyer canonicalizes and hashes the whole page corpus,
+        so it is kept while ``config`` and ``corpus`` are the very
+        objects it was derived from: both are frozen, so the same
+        objects give the same key.  Reassigning either derives afresh.
+        An uncacheable verdict is not kept, so every run counts it.
+        """
+        task = self._task
+        if (task is None or task.config is not self.config
+                or task.corpus is not self.corpus):
+            task = self._task = _SessionTask(self.config, self.corpus)
+            self._keyer = None
+        if cache is None:
+            return task, None
+        if self._keyer is None:
+            self._keyer = TrialKeyer.create(
+                cache, task, experiment=self.config.experiment,
+                codec=_SESSION_CODEC)
+            return task, self._keyer
+        return task, replace(self._keyer, cache=cache)
 
     def run(self) -> FleetReport:
         """Execute every session; returns the streamed aggregate."""
         config = self.config
         runlog = resolve_runlog(self.runlog, self.executor)
         sampler = SessionSampler(config)
-        task = _SessionTask(config, self.corpus)
+        task, keyer = self._keyed_task(
+            resolve_cache(self.cache, self.executor))
         aggregator = FleetAggregator()
         quarantined = 0
-        keyer = TrialKeyer.create(
-            resolve_cache(self.cache, self.executor), task,
-            experiment=config.experiment, codec=_SESSION_CODEC)
         runlog.emit("run_start", experiment=config.experiment,
                     trials=config.sessions, pending=config.sessions,
                     resumed=0, runlog_version=RUNLOG_VERSION,

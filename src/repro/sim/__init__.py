@@ -10,7 +10,6 @@ Public API:
 * :class:`Event`, :class:`Timeout`, :class:`Process` — awaitable events.
 * :class:`AllOf` — fires when every composed event has fired.
 * :class:`Resource` — limited-capacity resource with FIFO queueing.
-* :class:`Store` — producer/consumer buffer of Python objects.
 * :class:`Container` — continuous-level reservoir (e.g. playback buffer).
 * :class:`Interrupt` — exception injected into a process by `Process.interrupt`.
 * :class:`SimDeadlock` — event list drained while processes were still alive.
@@ -28,7 +27,7 @@ from repro.sim.core import (
     StepBudgetExceeded,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Container, Resource
 
 __all__ = [
     "AllOf",
@@ -41,6 +40,5 @@ __all__ = [
     "SimDeadlock",
     "SimulationError",
     "StepBudgetExceeded",
-    "Store",
     "Timeout",
 ]

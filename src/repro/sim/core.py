@@ -444,10 +444,6 @@ class Environment:
         """Event that fires when all ``events`` have fired."""
         return AllOf(self, events)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process the single next event: the kernel's one dispatch body."""
         queue = self._queue

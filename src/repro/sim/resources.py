@@ -1,7 +1,6 @@
 """Shared-resource primitives built on the event kernel.
 
 * :class:`Resource` — a counted resource (e.g. CPU cores) with FIFO queueing.
-* :class:`Store` — a buffer of discrete objects (e.g. a packet queue).
 * :class:`Container` — a continuous reservoir (e.g. seconds of buffered video).
 
 All requests are events; processes ``yield`` them and are resumed when the
@@ -96,73 +95,6 @@ class Resource:
             nxt.succeed()
 
 
-class StoreGet(Event):
-    """Pending retrieval from a :class:`Store`."""
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._get(self)
-
-
-class StorePut(Event):
-    """Pending insertion into a :class:`Store`."""
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._put(self)
-
-
-class Store:
-    """FIFO buffer of Python objects with optional capacity bound."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
-        self._putters: Deque[StorePut] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        """Insert ``item``; fires when there is room."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Retrieve the oldest item; fires when one is available."""
-        return StoreGet(self)
-
-    def _put(self, event: StorePut) -> None:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append(event)
-
-    def _get(self, event: StoreGet) -> None:
-        if self.items:
-            event.succeed(self.items.popleft())
-            self._serve_putters()
-        else:
-            self._getters.append(event)
-
-    def _serve_getters(self) -> None:
-        while self._getters and self.items:
-            self._getters.popleft().succeed(self.items.popleft())
-
-    def _serve_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            put = self._putters.popleft()
-            self.items.append(put.item)
-            put.succeed()
-            self._serve_getters()
-
-
 class ContainerGet(Event):
     """Pending withdrawal of ``amount`` from a :class:`Container`."""
 
@@ -252,7 +184,4 @@ __all__ = [
     "Request",
     "Resource",
     "SimulationError",
-    "Store",
-    "StoreGet",
-    "StorePut",
 ]

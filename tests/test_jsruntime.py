@@ -78,11 +78,3 @@ def test_has_regex_flag():
     assert not JsFunction("f", 1e6).has_regex
     call = RegexCall("p", 1, "test", 1, 1)
     assert JsFunction("f", 1e6, (call,)).has_regex
-
-
-def test_script_regex_functions():
-    call = RegexCall("p", 1, "test", 1, 1)
-    with_regex = JsFunction("a", 1, (call,))
-    without = JsFunction("b", 1)
-    script = Script("s.js", 0, (with_regex, without))
-    assert script.regex_functions == (with_regex,)

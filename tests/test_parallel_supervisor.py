@@ -317,8 +317,10 @@ def test_runner_classifies_quarantined_trials(tmp_path):
 
 
 def test_runner_taxonomy_mapping_for_hang_and_error(tmp_path):
+    # The timeout must outlast the healthy trial on a loaded host and
+    # still reclaim the poisoned one, which hangs for 60 s.
     hang = ChaosExecutor(2, poison_plan(0, CHAOS_HANG),
-                         task_timeout_s=0.3, max_task_retries=0, **FAST)
+                         task_timeout_s=3.0, max_task_retries=0, **FAST)
     report = RobustTrialRunner(trials=2, experiment="qmap",
                                executor=hang).run(seeded_value)
     assert report.failure_counts() == {TRIAL_TIMEOUT: 1}

@@ -8,7 +8,9 @@ The load-bearing guarantees, in test order:
   any ordering of any value stream (hypothesis);
 * the fleet runner's aggregate JSON is byte-identical across worker
   counts, under injected chaos, and across cold/warm cache runs, while
-  its in-memory state stays O(tiers × metrics × buckets).
+  its in-memory state stays O(tiers × metrics × buckets);
+* one runner derives its sweep cache key once and reuses it while its
+  config and corpus objects are unchanged, yet keys every session.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import cdf_points, summarize
-from repro.cache import TrialCache
+from repro.cache import TrialCache, TrialKeyer
 from repro.obs.runlog import RunLog
 from repro.parallel import get_executor
 from repro.parallel.chaos import (
@@ -43,6 +45,7 @@ from repro.population import (
     WORKLOADS,
     default_market,
 )
+from repro.population.fleet import _SESSION_CODEC, _SessionTask
 
 finite = st.floats(min_value=0.0, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -336,6 +339,98 @@ def test_warm_fleet_cache_misses_every_session_a_key_input_changes(
     runner.run()
     assert cache.stats.hits == hits
     assert cache.stats.misses == SMALL["sessions"] - hits
+
+
+@pytest.fixture
+def counted_keying(monkeypatch):
+    """Counts ``TrialKeyer.create`` calls and records every trial key."""
+    create, key = TrialKeyer.create, TrialKeyer.key
+    counts = {"create": 0, "keys": []}
+
+    def counting_create(*args, **kwargs):
+        counts["create"] += 1
+        return create(*args, **kwargs)
+
+    def recording_key(self, trial, item):
+        digest = key(self, trial, item)
+        counts["keys"].append((trial, item, digest))
+        return digest
+
+    monkeypatch.setattr(TrialKeyer, "create", counting_create)
+    monkeypatch.setattr(TrialKeyer, "key", recording_key)
+    return counts
+
+
+def test_fleet_runner_derives_its_key_once_across_reruns(
+        filled_fleet_cache, counted_keying):
+    runner = FleetRunner(small_config())
+    outputs = []
+    for _ in range(3):
+        cache = runner.cache = TrialCache(filled_fleet_cache)
+        outputs.append(runner.run().to_json())
+        assert cache.stats.hits == SMALL["sessions"]
+        assert cache.stats.misses == 0
+    assert counted_keying["create"] == 1
+    assert outputs[0] == outputs[1] == outputs[2]
+    # Every session is still keyed on every run, with the key a fresh
+    # derivation over an equal (not identical) task gives.
+    keys = list(counted_keying["keys"])
+    assert len(keys) == 3 * SMALL["sessions"]
+    fresh = TrialKeyer.create(
+        TrialCache(filled_fleet_cache),
+        _SessionTask(dataclasses.replace(runner.config), runner.corpus),
+        experiment=runner.config.experiment, codec=_SESSION_CODEC)
+    for trial, item, digest in keys:
+        assert digest == fresh.key(trial, item)
+
+
+def _changed_config(runner: FleetRunner) -> None:
+    runner.config = dataclasses.replace(
+        runner.config, call_s=SMALL["call_s"] + 1.0)
+
+
+def _copied_config(runner: FleetRunner) -> None:
+    runner.config = dataclasses.replace(runner.config)
+
+
+@pytest.mark.parametrize("edit, hits", (
+    (_changed_page, 0),
+    (_changed_config, 0),
+    (_copied_config, SMALL["sessions"]),
+), ids=("corpus-page", "config-field", "config-copy"))
+def test_reassigned_key_input_rederives_the_key_of_a_run_runner(
+        counted_keying, tmp_path, edit, hits):
+    # The runner fills a cache of its own: the shared one already holds
+    # the sessions other tests stored for these very edits.
+    runner = FleetRunner(small_config(), cache=TrialCache(tmp_path))
+    runner.run()
+    edit(runner)
+    cache = runner.cache = TrialCache(tmp_path)
+    runner.run()
+    assert counted_keying["create"] == 2
+    assert cache.stats.hits == hits
+    assert cache.stats.misses == SMALL["sessions"] - hits
+
+
+def test_uncached_run_then_cached_run_keys_and_hits(filled_fleet_cache,
+                                                    counted_keying):
+    runner = FleetRunner(small_config())
+    runner.run()
+    cache = runner.cache = TrialCache(filled_fleet_cache)
+    runner.run()
+    assert len(counted_keying["keys"]) == SMALL["sessions"]
+    assert cache.stats.hits == SMALL["sessions"]
+
+
+def test_uncacheable_fleet_task_counts_once_per_run(tmp_path):
+    config = dataclasses.replace(small_config(), sessions=2)
+    cache = TrialCache(tmp_path)
+    runner = FleetRunner(config, cache=cache)
+    runner.corpus = (*runner.corpus, object())
+    for runs in (1, 2):
+        runner.run()
+        assert cache.stats.uncacheable == runs
+        assert cache.stats.lookups == 0
 
 
 def test_aggregate_state_is_independent_of_session_count():

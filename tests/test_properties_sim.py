@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import Device, NEXUS4
 from repro.device.memory import MemoryModel, MemorySpec
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Container, Environment, Resource
 
 
 @settings(max_examples=50, deadline=None)
@@ -47,28 +47,6 @@ def test_resource_never_over_granted(capacity, holds):
     env.run()
     assert peak[0] <= capacity
     assert resource.count == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(items=st.lists(st.integers(), max_size=30))
-def test_store_preserves_order_and_items(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == items
 
 
 @settings(max_examples=40, deadline=None)

@@ -338,14 +338,6 @@ def test_deterministic_tie_breaking():
     assert order == ["a", "b", "c"]
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-    env.run()
-    assert env.peek() == float("inf")
-
-
 def test_nested_processes():
     env = Environment()
 

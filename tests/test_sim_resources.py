@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and Container."""
+"""Unit tests for Resource and Container."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Container, Environment, Resource
 
 
 # -- Resource -----------------------------------------------------------------
@@ -71,78 +71,6 @@ def test_resource_queued_request_can_withdraw():
     res.release(holder)
     assert res.count == 0
     assert not res.queue
-
-
-# -- Store --------------------------------------------------------------------
-
-
-def test_store_fifo():
-    env = Environment()
-    store = Store(env)
-    out = []
-
-    def producer():
-        for item in ("x", "y", "z"):
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert out == ["x", "y", "z"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    seen = []
-
-    def consumer():
-        item = yield store.get()
-        seen.append((env.now, item))
-
-    def producer():
-        yield env.timeout(5)
-        yield store.put("late")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert seen == [(5, "late")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put(1)
-        events.append(("put1", env.now))
-        yield store.put(2)
-        events.append(("put2", env.now))
-
-    def consumer():
-        yield env.timeout(3)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert events == [("put1", 0), ("put2", 3)]
-
-
-def test_store_len_tracks_items():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    env.run()
-    assert len(store) == 2
 
 
 # -- Container ----------------------------------------------------------------
