@@ -28,7 +28,7 @@ from repro.lint.findings import (
     is_suppressed,
     parse_suppressions,
 )
-from repro.lint.project import ProjectModel, module_name_for
+from repro.lint.project import ProjectModel
 from repro.lint.rules import (
     ALL_PROJECT_RULES,
     ALL_RULES,
@@ -201,7 +201,7 @@ def lint_file(
         report.findings.append(parsed)
         return report
     source, tree = parsed
-    context = FileContext(path=display, source=source, tree=tree)
+    context = FileContext(path=display, source=source, tree=tree, file=path)
     _check_file(context, rules, parse_suppressions(source), report)
     return report
 
@@ -268,9 +268,10 @@ def run_project_lint(
         source, tree = parsed
         suppressions = parse_suppressions(source)
         suppressions_by_path[display] = suppressions
-        context = FileContext(path=display, source=source, tree=tree)
+        context = FileContext(path=display, source=source, tree=tree,
+                              file=path)
         _check_file(context, file_rules, suppressions, report)
-        name = module_name_for(path)
+        name = context.module
         if name in model.modules:
             # Same dotted name twice (e.g. two top-level conftest.py):
             # qualify by display path to keep both analyzable.

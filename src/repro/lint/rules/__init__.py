@@ -3,24 +3,37 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.findings import Finding, Severity
+from repro.lint.project import module_name_for
 
 
 @dataclass
 class FileContext:
     """Everything a rule needs about one source file."""
 
+    #: Display path, as findings report it.
     path: str
     source: str
     tree: ast.Module
-    #: Posix-style path, lowercase, for rule scoping tests.
-    norm_path: str = field(init=False)
+    #: The file on disk; its package chain names the module.
+    file: InitVar[Path]
+    #: Dotted module name (``repro.obs.tracer``): where the file sits in
+    #: its packages, whatever the cwd or the checkout directory's name.
+    module: str = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.norm_path = self.path.replace("\\", "/").lower()
+    def __post_init__(self, file: Path) -> None:
+        self.module = module_name_for(file)
+
+    def in_scope(self, scope: str) -> bool:
+        """Is the module inside ``scope``, a dotted segment sequence
+        (``obs``, ``parallel.supervisor``) found anywhere in its name?"""
+        parts, want = self.module.split("."), scope.split(".")
+        return any(parts[i:i + len(want)] == want
+                   for i in range(len(parts) - len(want) + 1))
 
 
 class Rule:
@@ -122,7 +135,6 @@ def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:
     return _walk_function_body(func)
 
 
-from repro.lint.rules.cache import CacheDirectWriteRule  # noqa: E402
 from repro.lint.rules.catalog import CatalogSchemaRule  # noqa: E402
 from repro.lint.rules.dataflow import (  # noqa: E402
     ALL_PROJECT_RULES,
@@ -136,14 +148,7 @@ from repro.lint.rules.determinism import (  # noqa: E402
     WallClockRule,
 )
 from repro.lint.rules.faults import SeededFaultInjectionRule  # noqa: E402
-from repro.lint.rules.obs import (  # noqa: E402
-    RawSpanPairRule,
-    RunlogDirectWriteRule,
-)
-from repro.lint.rules.parallel import (  # noqa: E402
-    RawProcessFanoutRule,
-    RawSignalHandlerRule,
-)
+from repro.lint.rules.ownership import OWNERSHIP_RULES  # noqa: E402
 from repro.lint.rules.simapi import (  # noqa: E402
     BlockingCallRule,
     KernelStateMutationRule,
@@ -164,11 +169,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     MixedUnitArithmeticRule(),
     CatalogSchemaRule(),
     SeededFaultInjectionRule(),
-    RawSpanPairRule(),
-    RunlogDirectWriteRule(),
-    RawProcessFanoutRule(),
-    RawSignalHandlerRule(),
-    CacheDirectWriteRule(),
+    *OWNERSHIP_RULES,
 )
 
 

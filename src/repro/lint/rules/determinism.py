@@ -222,7 +222,7 @@ class StudyRngFactoryRule(Rule):
     )
 
     def applies_to(self, context: FileContext) -> bool:
-        return "core/studies/" in context.norm_path
+        return context.in_scope("core.studies")
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

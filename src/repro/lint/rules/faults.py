@@ -58,8 +58,7 @@ class SeededFaultInjectionRule(Rule):
 
     def applies_to(self, context: FileContext) -> bool:
         # The faults package itself plus anything that imports it.
-        return ("/faults/" in context.norm_path
-                or context.norm_path.endswith("/faults.py")
+        return (context.in_scope("faults")
                 or _imports_repro_faults(context.tree))
 
     @staticmethod

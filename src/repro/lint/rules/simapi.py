@@ -141,7 +141,7 @@ class KernelStateMutationRule(Rule):
 
     def applies_to(self, context: FileContext) -> bool:
         # The kernel package is the single writer by design.
-        return "repro/sim/" not in context.norm_path
+        return not context.in_scope("repro.sim")
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

@@ -18,13 +18,20 @@ from repro.lint import (
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import PARSE_ERROR_RULE, select_rules
 from repro.lint.reporters import render_json, render_text
+from repro.lint.rules.ownership import OWNERSHIP_RULES
 
 
 def lint_source(tmp_path: Path, source: str, *, select=None,
                 name: str = "snippet.py"):
-    """Write ``source`` to a temp module and lint it."""
+    """Write ``source`` to a temp module and lint it.
+
+    Every directory in ``name`` is made a package, so the file at
+    ``repro/obs/tracer.py`` is module ``repro.obs.tracer``.
+    """
     target = tmp_path / name
     target.parent.mkdir(parents=True, exist_ok=True)
+    for package in Path(name).parents[:-1]:
+        (tmp_path / package / "__init__.py").touch()
     target.write_text(textwrap.dedent(source))
     return run_lint([target], select=select)
 
@@ -121,6 +128,14 @@ FLAGGED = {
             (root / "objects" / key[:2] / (key + ".cache.json")
              ).write_text(payload)
         """,
+    "SES901": """
+        from repro.netstack import Link, LinkSpec
+        from repro.sim import Environment
+
+        def bench_link():
+            env = Environment()
+            return env, Link(env, LinkSpec())
+        """,
 }
 
 CLEAN = {
@@ -207,22 +222,64 @@ CLEAN = {
                       payload=result, fingerprint="f")
             return json.loads(cache._entry_path(key).read_text())
         """,
+    "SES901": """
+        from repro.core.session import simulate
+
+        def run(spec, link_spec, seed, program):
+            return simulate(spec, link_spec, seed, program)
+        """,
 }
 
 # DET005 and FLT401 are path/import-scoped; exercised separately below.
 _PATH_SCOPED = {"DET005", "FLT401"}
 
+#: Where a fixture is linted, for rules that apply only inside a package.
+_FIXTURE_NAME = {"SES901": "repro/web/fake.py"}
+
 
 @pytest.mark.parametrize("rule_id", sorted(FLAGGED))
 def test_rule_flags_violation(tmp_path, rule_id):
-    report = lint_source(tmp_path, FLAGGED[rule_id], select=[rule_id])
+    report = lint_source(tmp_path, FLAGGED[rule_id], select=[rule_id],
+                         name=_FIXTURE_NAME.get(rule_id, "snippet.py"))
     assert rule_ids(report) == [rule_id]
 
 
 @pytest.mark.parametrize("rule_id", sorted(CLEAN))
 def test_rule_accepts_clean_code(tmp_path, rule_id):
-    report = lint_source(tmp_path, CLEAN[rule_id], select=[rule_id])
+    report = lint_source(tmp_path, CLEAN[rule_id], select=[rule_id],
+                         name=_FIXTURE_NAME.get(rule_id, "snippet.py"))
     assert report.findings == []
+
+
+#: Per ownership row: where its FLAGGED fixture is clean (the owners,
+#: and outside the row's package), then where it is flagged.
+_OWNERSHIP_PATHS = {
+    "OBS501": (("repro/obs/tracer.py",), ("repro/web/tracer.py",)),
+    "OBS502": (("repro/obs/runlog.py",), ("repro/obs/tracer.py",)),
+    "PAR601": (("repro/parallel/executors.py",
+                "repro/parallel/supervisor.py"),
+               ("repro/core/executors.py",)),
+    # Unlike PAR601, the rest of the parallel package is not exempt.
+    "PAR602": (("repro/parallel/supervisor.py",),
+               ("repro/parallel/executors.py",)),
+    "CSH801": (("repro/cache/store.py",), ("repro/core/store.py",)),
+    "SES901": (("repro/core/session.py", "repro/device/device.py",
+                "repro/netstack/link.py", "tests/test_fake.py"),
+               ("repro/web/fake.py", "repro/core/studies/fake.py")),
+}
+
+
+@pytest.mark.parametrize("rule", OWNERSHIP_RULES, ids=lambda rule: rule.id)
+def test_ownership_rule_exempts_exactly_its_owners(tmp_path, rule):
+    clean, flagged = _OWNERSHIP_PATHS[rule.id]
+    for name in clean:
+        report = lint_source(tmp_path, FLAGGED[rule.id], select=[rule.id],
+                             name=name)
+        assert report.findings == [], name
+    for name in flagged:
+        report = lint_source(tmp_path, FLAGGED[rule.id], select=[rule.id],
+                             name=name)
+        assert rule_ids(report) == [rule.id], name
 
 
 def test_det005_flags_inline_rng_only_in_studies(tmp_path):
@@ -238,19 +295,6 @@ def test_det005_flags_inline_rng_only_in_studies(tmp_path):
     elsewhere = lint_source(tmp_path, source, select=["DET005"],
                             name="workloads/fake.py")
     assert elsewhere.findings == []
-
-
-def test_obs501_exempts_the_obs_package(tmp_path):
-    source = FLAGGED["OBS501"]
-    report = lint_source(tmp_path, source, select=["OBS501"],
-                         name="repro/obs/tracer.py")
-    assert report.findings == []
-
-
-def test_obs502_exempts_the_runlog_module(tmp_path):
-    report = lint_source(tmp_path, FLAGGED["OBS502"], select=["OBS502"],
-                         name="repro/obs/runlog.py")
-    assert report.findings == []
 
 
 def test_obs502_ignores_reads_and_flags_write_modes(tmp_path):
@@ -282,18 +326,22 @@ def test_obs502_ignores_reads_and_flags_write_modes(tmp_path):
                                 select=["OBS502"])) == ["OBS502"]
 
 
+def test_obs501_flags_spans_on_computed_receivers(tmp_path):
+    source = """
+        def traced(tracers):
+            handle = tracers[0].begin_span("a.b")
+            tracers[0].end_span(handle)
+        """
+    report = lint_source(tmp_path, source, select=["OBS501"])
+    assert [f.rule for f in report.findings] == ["OBS501", "OBS501"]
+
+
 def test_obs502_ignores_other_jsonl_files(tmp_path):
     source = """
         def append(path, line):
             (path / "events.jsonl").write_text(line)
         """
     assert lint_source(tmp_path, source, select=["OBS502"]).findings == []
-
-
-def test_csh801_exempts_the_cache_package(tmp_path):
-    report = lint_source(tmp_path, FLAGGED["CSH801"], select=["CSH801"],
-                         name="repro/cache/store.py")
-    assert report.findings == []
 
 
 def test_csh801_flags_marker_writes_and_ignores_reads(tmp_path):
@@ -382,7 +430,7 @@ def test_flt401_accepts_seeded_streams(tmp_path):
     assert report.findings == []
 
 
-def test_par601_flags_os_fork_and_exempts_the_executor_layer(tmp_path):
+def test_par601_flags_os_fork(tmp_path):
     fork_source = """
         import os
 
@@ -392,22 +440,6 @@ def test_par601_flags_os_fork_and_exempts_the_executor_layer(tmp_path):
     report = lint_source(tmp_path, fork_source, select=["PAR601"],
                          name="app/workers.py")
     assert rule_ids(report) == ["PAR601"]
-    # The executor layer itself is the sanctioned home of fan-out.
-    exempt = lint_source(tmp_path, FLAGGED["PAR601"], select=["PAR601"],
-                         name="repro/parallel/executors.py")
-    assert exempt.findings == []
-
-
-def test_par602_exempts_only_the_supervisor_module(tmp_path):
-    # The supervisor is the sanctioned home of signal handling...
-    exempt = lint_source(tmp_path, FLAGGED["PAR602"], select=["PAR602"],
-                         name="repro/parallel/supervisor.py")
-    assert exempt.findings == []
-    # ...but the rest of the parallel package is not exempt (unlike
-    # PAR601, which exempts the whole package).
-    flagged = lint_source(tmp_path, FLAGGED["PAR602"], select=["PAR602"],
-                          name="repro/parallel/executors.py")
-    assert rule_ids(flagged) == ["PAR602"]
 
 
 def test_sim103_exempts_the_kernel_package(tmp_path):
@@ -622,6 +654,18 @@ def test_repro_package_is_lint_clean():
     package_root = Path(repro.__file__).resolve().parent
     report = run_lint([package_root])
     assert report.findings == [], render_text(report)
+
+
+@pytest.mark.parametrize("levels_up", (0, 1, 2),
+                         ids=("package", "src", "repo-root"))
+def test_default_lint_is_clean_from_any_cwd(monkeypatch, capsys, levels_up):
+    # Rule scopes come from module names, not cwd-relative paths: run
+    # from inside the package, the kernel and the tracer stay exempt.
+    import repro
+
+    monkeypatch.chdir(Path(repro.__file__).resolve().parents[levels_up])
+    assert lint_main([]) == 0
+    assert " 0 finding(s)" in capsys.readouterr().out
 
 
 def test_dispatch_through_main_cli(tmp_path, capsys):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,10 +310,16 @@ def test_half_warm_cache_prints_the_cold_aggregate(tmp_path):
 
 @pytest.fixture(scope="module")
 def filled_fleet_cache(tmp_path_factory):
-    """A cache holding every session of ``small_config()``."""
+    """A cache holding every session of ``small_config()``; read-only."""
     root = tmp_path_factory.mktemp("fleet-cache")
     FleetRunner(small_config(), cache=TrialCache(root)).run()
     return root
+
+
+@pytest.fixture
+def fleet_cache(filled_fleet_cache, tmp_path):
+    """A private copy of the filled cache: a test's misses store here."""
+    return shutil.copytree(filled_fleet_cache, tmp_path / "fleet-cache")
 
 
 def _changed_page(runner: FleetRunner) -> None:
@@ -328,11 +335,11 @@ def _changed_page(runner: FleetRunner) -> None:
      None, 0),
 ), ids=("unchanged", "corpus-page", "config-field"))
 def test_warm_fleet_cache_misses_every_session_a_key_input_changes(
-        filled_fleet_cache, config, edit, hits):
+        fleet_cache, config, edit, hits):
     # The session task's config and corpus are its key parameters: one
     # changed page or field must re-run every session, nothing changed
     # must replay every session.
-    cache = TrialCache(filled_fleet_cache)
+    cache = TrialCache(fleet_cache)
     runner = FleetRunner(config, cache=cache)
     if edit is not None:
         edit(runner)
@@ -362,11 +369,11 @@ def counted_keying(monkeypatch):
 
 
 def test_fleet_runner_derives_its_key_once_across_reruns(
-        filled_fleet_cache, counted_keying):
+        fleet_cache, counted_keying):
     runner = FleetRunner(small_config())
     outputs = []
     for _ in range(3):
-        cache = runner.cache = TrialCache(filled_fleet_cache)
+        cache = runner.cache = TrialCache(fleet_cache)
         outputs.append(runner.run().to_json())
         assert cache.stats.hits == SMALL["sessions"]
         assert cache.stats.misses == 0
@@ -377,7 +384,7 @@ def test_fleet_runner_derives_its_key_once_across_reruns(
     keys = list(counted_keying["keys"])
     assert len(keys) == 3 * SMALL["sessions"]
     fresh = TrialKeyer.create(
-        TrialCache(filled_fleet_cache),
+        TrialCache(fleet_cache),
         _SessionTask(dataclasses.replace(runner.config), runner.corpus),
         experiment=runner.config.experiment, codec=_SESSION_CODEC)
     for trial, item, digest in keys:
@@ -399,27 +406,32 @@ def _copied_config(runner: FleetRunner) -> None:
     (_copied_config, SMALL["sessions"]),
 ), ids=("corpus-page", "config-field", "config-copy"))
 def test_reassigned_key_input_rederives_the_key_of_a_run_runner(
-        counted_keying, tmp_path, edit, hits):
-    # The runner fills a cache of its own: the shared one already holds
-    # the sessions other tests stored for these very edits.
-    runner = FleetRunner(small_config(), cache=TrialCache(tmp_path))
+        counted_keying, fleet_cache, edit, hits):
+    runner = FleetRunner(small_config(), cache=TrialCache(fleet_cache))
     runner.run()
     edit(runner)
-    cache = runner.cache = TrialCache(tmp_path)
+    cache = runner.cache = TrialCache(fleet_cache)
     runner.run()
     assert counted_keying["create"] == 2
     assert cache.stats.hits == hits
     assert cache.stats.misses == SMALL["sessions"] - hits
 
 
-def test_uncached_run_then_cached_run_keys_and_hits(filled_fleet_cache,
+def test_uncached_run_then_cached_run_keys_and_hits(fleet_cache,
                                                     counted_keying):
     runner = FleetRunner(small_config())
     runner.run()
-    cache = runner.cache = TrialCache(filled_fleet_cache)
+    cache = runner.cache = TrialCache(fleet_cache)
     runner.run()
     assert len(counted_keying["keys"]) == SMALL["sessions"]
     assert cache.stats.hits == SMALL["sessions"]
+
+
+def test_shared_fleet_cache_holds_only_the_filled_sessions(
+        filled_fleet_cache):
+    # Runs after every test above that could store a miss: they all
+    # work on copies, so test order cannot change what this cache holds.
+    assert TrialCache(filled_fleet_cache).entry_count() == SMALL["sessions"]
 
 
 def test_uncacheable_fleet_task_counts_once_per_run(tmp_path):

@@ -1,25 +1,17 @@
-"""The ``simulate`` contract: one builder for every session's testbed."""
+"""The ``simulate`` contract.
+
+That it is the one builder of a session's testbed is lint rule SES901
+(``repro.lint.rules.ownership``), which CI and tier-1 run over the package.
+"""
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.core.session import simulate
 from repro.device import NEXUS4
 from repro.faults import FaultPlan, ThermalThrottleSpec
 from repro.netstack import LinkSpec
-
-SRC = Path(repro.__file__).resolve().parent
-
-#: The testbed pieces only :func:`simulate` may put together.
-TESTBED = {"Environment", "Device", "Link", "BackgroundLoad"}
-
-#: Where those classes live, plus the one builder allowed to call them.
-ALLOWED = ("device/", "netstack/", "core/session.py")
 
 
 def _idle_energy(env, device, link):
@@ -45,28 +37,3 @@ def test_a_fault_plan_needs_a_seed():
         simulate(NEXUS4, LinkSpec(), None, _idle_energy,
                  faults=plan)
 
-
-def _testbed_constructions(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
-        if name in TESTBED:
-            found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
-    return found
-
-
-def test_only_simulate_builds_a_sessions_testbed():
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        relative = path.relative_to(SRC).as_posix()
-        if not relative.startswith(ALLOWED):
-            offenders.extend(_testbed_constructions(path))
-    assert offenders == []
-    # The scan itself works: it sees the builder's own constructions.
-    builder = _testbed_constructions(SRC / "core" / "session.py")
-    assert {entry.split()[-1] for entry in builder} == TESTBED
