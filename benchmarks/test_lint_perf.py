@@ -1,11 +1,10 @@
-"""Whole-project lint wall time: ``--project`` must stay cheap enough for CI.
+"""Lint wall time over the whole repository: cheap enough for CI.
 
-The DF7xx dataflow pass parses every file once, builds the project model,
-and iterates function summaries to a fixed point — all of which scales
-with repository size.  This benchmark lints the real ``src/``, ``tests/``,
-and ``benchmarks/`` trees, prints the wall-time breakdown, and enforces a
-generous ceiling so a quadratic regression in the model or the engine
-shows up as a failed benchmark rather than a stalled CI job.
+Every rule runs on every file's AST, so the pass scales with repository
+size.  This benchmark lints the real ``src/``, ``tests/`` and
+``benchmarks/`` trees, records the wall time as ``lint.wall_s``, and
+enforces a generous ceiling so a quadratic regression in a rule or the
+engine shows up as a failed benchmark rather than a stalled CI job.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.lint import run_project_lint, run_lint
+from repro.lint import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TARGETS = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
@@ -22,32 +21,18 @@ TARGETS = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
 WALL_CEILING_S = 60.0
 
 
-def test_project_lint_wall_time(fig_printer, perf_track):
+def test_lint_wall_time(fig_printer, perf_track):
     start = time.perf_counter()  # simlint: disable=DET001
-    file_report = run_lint(TARGETS, root=REPO_ROOT)
-    file_only_s = time.perf_counter() - start  # simlint: disable=DET001
+    report = run_lint(TARGETS, root=REPO_ROOT)
+    wall_s = time.perf_counter() - start  # simlint: disable=DET001
 
-    start = time.perf_counter()  # simlint: disable=DET001
-    report = run_project_lint(TARGETS, root=REPO_ROOT)
-    project_s = time.perf_counter() - start  # simlint: disable=DET001
-
-    assert report.files_checked == file_report.files_checked
     assert report.findings == [], [str(f) for f in report.findings]
-    perf_track("lint.project_wall_s", project_s,
-               files=report.files_checked)
+    perf_track("lint.wall_s", wall_s, files=report.files_checked)
+    fig_printer("repository lint wall time",
+                f"{'files':>8}{'wall s':>10}\n"
+                f"{report.files_checked:>8}{wall_s:>10.2f}")
 
-    rows = [
-        f"{'mode':<24}{'files':>8}{'wall s':>10}",
-        f"{'file rules only':<24}{file_report.files_checked:>8}"
-        f"{file_only_s:>10.2f}",
-        f"{'--project (DF7xx)':<24}{report.files_checked:>8}"
-        f"{project_s:>10.2f}",
-        f"{'dataflow overhead':<24}{'':>8}"
-        f"{project_s - file_only_s:>10.2f}",
-    ]
-    fig_printer("whole-project lint wall time", "\n".join(rows))
-
-    assert project_s < WALL_CEILING_S, (
-        f"--project lint took {project_s:.1f}s over "
-        f"{report.files_checked} files (ceiling {WALL_CEILING_S:.0f}s)"
+    assert wall_s < WALL_CEILING_S, (
+        f"lint took {wall_s:.1f}s over {report.files_checked} files "
+        f"(ceiling {WALL_CEILING_S:.0f}s)"
     )

@@ -5,17 +5,16 @@ the code that produced it.  Pinning the whole repository into every key
 would be safe but useless — touching a docstring in ``repro.rtc`` must
 not invalidate web-study entries.  Instead each trial function gets a
 *code fingerprint*: the SHA-256 of the sources of the ``repro.*``
-modules it transitively imports, discovered through the same
-:class:`~repro.lint.project.ProjectModel` import graph the ``--project``
-linter uses.  Editing any module a trial depends on flips the
-fingerprint (a miss, recompute); editing an unrelated module leaves it
-alone (still a hit).
+modules it transitively imports, found through each module's import
+targets (:func:`repro.lint.project.parse_module`).  Editing any module a
+trial depends on flips the fingerprint (a miss, recompute); editing an
+unrelated module leaves it alone (still a hit).
 
 The walk is an over-approximation by design: module-level *and*
-function-level imports both count, and a bare ``import repro.x`` that
-the import table records as ``repro`` pulls in the package root.  An
-over-approximation can only cause spurious recomputation, never a stale
-hit — the safe direction for a cache.
+function-level imports both count, and ``import pkg.b``, ``from pkg.b
+import f`` and ``from pkg.b import *`` all pull in the whole ``pkg.b``
+module.  An over-approximation can only cause spurious recomputation,
+never a stale hit — the safe direction for a cache.
 
 Trial functions defined outside the package root (tests, notebooks) are
 hashed from their own module source via :data:`sys.modules`, then their
@@ -26,7 +25,6 @@ uncached.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import hashlib
 import sys
@@ -34,10 +32,13 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.cache.keys import Uncacheable
-from repro.lint.project import ModuleInfo, ProjectModel, module_name_for
+from repro.lint.project import ModuleInfo, module_name_for, parse_module
 
-#: Memoized ProjectModels keyed by package root (one parse per session).
-_MODELS: Dict[Path, ProjectModel] = {}
+#: Dotted module name -> parsed module, for every module under a root.
+ModuleTable = Dict[str, ModuleInfo]
+
+#: Memoized module tables keyed by package root (one parse per session).
+_MODELS: Dict[Path, ModuleTable] = {}
 #: Memoized fingerprints keyed by (root, start-module set).
 _FINGERPRINTS: Dict[Tuple[Path, FrozenSet[str]], str] = {}
 
@@ -55,24 +56,24 @@ def package_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def project_model(root: Optional[Path] = None) -> ProjectModel:
-    """Parse-once import model of every module under ``root``."""
+def project_model(root: Optional[Path] = None) -> ModuleTable:
+    """Parse-once import table of every module under ``root``."""
     root = (root or package_root()).resolve()
     model = _MODELS.get(root)
     if model is None:
-        model = ProjectModel()
+        model = {}
         for path in sorted(root.rglob("*.py")):
+            name = module_name_for(path)
             try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast.parse(source)
+                model[name] = parse_module(
+                    name, path.read_text(encoding="utf-8"))
             except (OSError, SyntaxError):
                 continue  # unreadable/broken files cannot be depended on
-            model.add_module(module_name_for(path), str(path), tree, source)
         _MODELS[root] = model
     return model
 
 
-def _module_of_target(model: ProjectModel, target: str) -> Optional[str]:
+def _module_of_target(model: ModuleTable, target: str) -> Optional[str]:
     """Longest known module prefix of an import target.
 
     Import tables record *symbol* targets (``repro.device.Device``); the
@@ -82,7 +83,7 @@ def _module_of_target(model: ProjectModel, target: str) -> Optional[str]:
     parts = target.split(".")
     for length in range(len(parts), 0, -1):
         name = ".".join(parts[:length])
-        if name in model.modules:
+        if name in model:
             return name
     return None
 
@@ -94,13 +95,9 @@ def _external_module(name: str) -> Optional[ModuleInfo]:
     if module is None or not path or not Path(path).exists():
         return None
     try:
-        source = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(source)
+        return parse_module(name, Path(path).read_text(encoding="utf-8"))
     except (OSError, SyntaxError):
         return None
-    # A throwaway model reuses the import-table builder without
-    # polluting the memoized root model.
-    return ProjectModel().add_module(name, str(path), tree, source)
 
 
 def fingerprint_modules(start: Iterable[str],
@@ -127,7 +124,7 @@ def fingerprint_modules(start: Iterable[str],
         if name in seen:
             continue
         seen.add(name)
-        info = model.modules.get(name)
+        info = model.get(name)
         if info is None:
             info = _external_module(name)
         if info is None:
@@ -137,7 +134,7 @@ def fingerprint_modules(start: Iterable[str],
                     f"trials run uncached")
             continue  # a dep outside the root: not part of the contract
         sources[name] = info.source
-        for target in sorted(set(info.imports.values())):
+        for target in sorted(info.imports):
             dep = _module_of_target(model, target)
             if dep is not None:
                 stack.append(dep)

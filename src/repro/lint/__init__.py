@@ -14,31 +14,19 @@ Public API:
 
 Command line::
 
-    python -m repro lint [PATH ...] [--project] [--format json]
-                         [--select RULE,...] [--baseline FILE]
+    python -m repro lint [PATH ...] [--format json] [--select RULE,...]
 """
 
-from repro.lint.engine import LintReport, run_lint, run_project_lint
+from repro.lint.engine import LintReport, run_lint
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import ProjectModel
-from repro.lint.rules import (
-    ALL_PROJECT_RULES,
-    ALL_RULES,
-    ProjectRule,
-    Rule,
-    rules_by_id,
-)
+from repro.lint.rules import ALL_RULES, Rule, rules_by_id
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "ALL_RULES",
     "Finding",
     "LintReport",
-    "ProjectModel",
-    "ProjectRule",
     "Rule",
     "Severity",
     "run_lint",
-    "run_project_lint",
     "rules_by_id",
 ]

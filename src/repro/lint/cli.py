@@ -1,13 +1,6 @@
 """``python -m repro lint`` subcommand.
 
 Exit codes: 0 clean, 1 findings at/above ``--fail-on``, 2 usage error.
-
-``--project`` enables whole-program mode: every file is parsed once,
-and the DF7xx dataflow rules (RNG provenance, wall-clock taint,
-pickle-safety) run over the combined model alongside the file rules.
-``--baseline FILE`` hides findings recorded in an accepted baseline;
-``--write-baseline FILE`` records the current findings as that baseline
-(incremental-adoption workflow for new rules).
 """
 
 from __future__ import annotations
@@ -17,15 +10,10 @@ from pathlib import Path
 from typing import List, Optional
 
 import repro
-from repro.lint.engine import (
-    run_lint,
-    run_project_lint,
-    select_rules,
-    write_baseline,
-)
+from repro.lint.engine import run_lint
 from repro.lint.findings import Severity
 from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import ALL_PROJECT_RULES, ALL_RULES, ProjectRule
+from repro.lint.rules import ALL_RULES
 
 USAGE_ERROR = 2
 
@@ -43,12 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--project", action="store_true",
-        help="whole-program mode: run the DF7xx dataflow rules "
-             "(project model, call graph, taint summaries) in addition "
-             "to the per-file rules",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -71,16 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if any finding is at/above this severity",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE", type=Path, default=None,
-        help="hide findings recorded in this baseline file "
-             "(reported as baselined, not failures)",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", type=Path, default=None,
-        help="record the current findings as the accepted baseline "
-             "and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
@@ -88,12 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def list_rules() -> str:
-    lines = []
-    for rule in ALL_RULES:
-        lines.append(f"{rule.id} [{rule.severity}] {rule.title}")
-    for rule in ALL_PROJECT_RULES:
-        lines.append(f"{rule.id} [{rule.severity}] {rule.title} (--project)")
-    return "\n".join(lines)
+    return "\n".join(f"{rule.id} [{rule.severity}] {rule.title}"
+                     for rule in ALL_RULES)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -119,46 +87,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
     try:
-        chosen = select_rules(select, ignore)
-        if not args.project and select is not None:
-            project_only = sorted(
-                rule.id for rule in chosen if isinstance(rule, ProjectRule))
-            if project_only:
-                raise ValueError(
-                    f"rule(s) {', '.join(project_only)} need whole-program "
-                    f"analysis; add --project"
-                )
-        if args.project:
-            report = run_project_lint(
-                paths,
-                select=select,
-                ignore=ignore,
-                min_severity=Severity.parse(args.severity),
-                root=Path.cwd(),
-                baseline=args.baseline,
-            )
-        else:
-            if args.baseline is not None:
-                raise ValueError("--baseline requires --project")
-            if args.write_baseline is not None:
-                raise ValueError("--write-baseline requires --project")
-            report = run_lint(
-                paths,
-                select=select,
-                ignore=ignore,
-                min_severity=Severity.parse(args.severity),
-                root=Path.cwd(),
-            )
+        report = run_lint(
+            paths,
+            select=select,
+            ignore=ignore,
+            min_severity=Severity.parse(args.severity),
+            root=Path.cwd(),
+        )
     except ValueError as error:
         parser.print_usage()
         print(f"error: {error}")
         return USAGE_ERROR
-
-    if args.write_baseline is not None:
-        write_baseline(report, args.write_baseline)
-        print(f"baseline: recorded {len(report.findings)} finding(s) "
-              f"to {args.write_baseline}")
-        return 0
 
     print(render_json(report) if args.format == "json"
           else render_text(report))

@@ -1,23 +1,14 @@
 """Lint driver: file discovery, rule execution, suppression, filtering.
 
-Two entry points share one machinery:
-
-* :func:`run_lint` — file rules only, one AST at a time (the PR-1 mode).
-* :func:`run_project_lint` — parses every file once into a
-  :class:`~repro.lint.project.ProjectModel`, runs the file rules *and*
-  the project-wide dataflow rules (DF7xx) on top of the shared parse.
-
-Both honor per-line ``# simlint: disable=`` suppressions and an optional
-**baseline** — a recorded set of finding fingerprints that are reported
-as baselined (not failures) so a new rule can land before every legacy
-violation is fixed.  Fingerprints are ``rule::path::message`` (no line
-numbers, so unrelated edits don't invalidate the file).
+:func:`run_lint` parses one file at a time, runs every chosen rule on
+its AST, drops findings silenced by a per-line ``# simlint: disable=``
+comment (counting them as suppressed), and returns one sorted
+:class:`LintReport`.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -28,20 +19,10 @@ from repro.lint.findings import (
     is_suppressed,
     parse_suppressions,
 )
-from repro.lint.project import ProjectModel
-from repro.lint.rules import (
-    ALL_PROJECT_RULES,
-    ALL_RULES,
-    FileContext,
-    ProjectRule,
-    Rule,
-)
+from repro.lint.rules import ALL_RULES, FileContext, Rule
 
 #: Rule id used for files the engine itself cannot parse.
 PARSE_ERROR_RULE = "E000"
-
-#: Baseline file schema version.
-BASELINE_VERSION = 1
 
 
 @dataclass
@@ -51,8 +32,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Findings matched (and hidden) by the ``--baseline`` file.
-    baselined: int = 0
 
     def count_at_least(self, severity: Severity) -> int:
         return sum(1 for f in self.findings if f.severity >= severity)
@@ -65,12 +44,11 @@ class LintReport:
 
     def as_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "summary": {
                 "files": self.files_checked,
                 "findings": len(self.findings),
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
                 "by_severity": self.by_severity(),
             },
             "findings": [f.as_dict() for f in self.findings],
@@ -98,20 +76,16 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
 def select_rules(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    rules: Optional[Sequence[Rule]] = None,
 ) -> List[Rule]:
     """Resolve ``--select``/``--ignore`` ids against the registry.
 
-    The registry is the union of file rules and project (DF7xx) rules,
-    so every id a user can type is either honored or rejected — ids that
+    Every id a user can type is either honored or rejected — ids that
     match no registered rule raise :class:`ValueError`, which the CLI
     maps to a usage error (exit code 2).  Never silently accept-and-
     match-nothing.
     """
-    if rules is None:
-        rules = tuple(ALL_RULES) + tuple(ALL_PROJECT_RULES)
-    known = {rule.id for rule in rules}
-    chosen = list(rules)
+    known = {rule.id for rule in ALL_RULES}
+    chosen = list(ALL_RULES)
     if select is not None:
         wanted = {rule_id.strip().upper() for rule_id in select if rule_id.strip()}
         unknown = sorted(wanted - known)
@@ -172,22 +146,6 @@ def _parse_file(
         )
 
 
-def _check_file(
-    context: FileContext,
-    rules: Sequence[Rule],
-    suppressions: Dict[int, set],
-    report: LintReport,
-) -> None:
-    for rule in rules:
-        if not rule.applies_to(context):
-            continue
-        for finding in rule.check(context):
-            if is_suppressed(finding, suppressions):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
-
-
 def lint_file(
     path: Path,
     rules: Sequence[Rule],
@@ -202,7 +160,15 @@ def lint_file(
         return report
     source, tree = parsed
     context = FileContext(path=display, source=source, tree=tree, file=path)
-    _check_file(context, rules, parse_suppressions(source), report)
+    suppressions = parse_suppressions(source)
+    for rule in rules:
+        if not rule.applies_to(context):
+            continue
+        for finding in rule.check(context):
+            if is_suppressed(finding, suppressions):
+                report.suppressed += 1
+            else:
+                report.findings.append(finding)
     return report
 
 
@@ -213,13 +179,8 @@ def run_lint(
     min_severity: Severity = Severity.INFO,
     root: Optional[Path] = None,
 ) -> LintReport:
-    """Lint every ``.py`` file under ``paths`` with the chosen file rules.
-
-    Project (DF7xx) rules in the selection are skipped here — they need
-    the whole-program model of :func:`run_project_lint`.
-    """
-    rules = [r for r in select_rules(select, ignore)
-             if not isinstance(r, ProjectRule)]
+    """Lint every ``.py`` file under ``paths`` with the chosen rules."""
+    rules = select_rules(select, ignore)
     report = LintReport()
     for path in discover_files([Path(p) for p in paths]):
         file_report = lint_file(path, rules, root=root)
@@ -232,126 +193,11 @@ def run_lint(
     return report
 
 
-def run_project_lint(
-    paths: Sequence[Path],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    min_severity: Severity = Severity.INFO,
-    root: Optional[Path] = None,
-    baseline: Optional[Union[str, Path]] = None,
-) -> LintReport:
-    """Project mode: file rules plus whole-program dataflow rules.
-
-    Every file is parsed exactly once; the shared ASTs feed both the
-    per-file rules and the :class:`ProjectModel` the DF7xx analyses run
-    on.  Findings from project rules honor the same per-line
-    suppressions as file findings, keyed by the file the finding lands
-    in.  Output is deterministic: modules are processed in sorted path
-    order and findings are fully sorted, so repeated runs render
-    byte-identical reports.
-    """
-    chosen = select_rules(select, ignore)
-    file_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
-
-    report = LintReport()
-    model = ProjectModel()
-    suppressions_by_path: Dict[str, Dict[int, set]] = {}
-
-    for path in discover_files([Path(p) for p in paths]):
-        report.files_checked += 1
-        display = _display_path(path, root)
-        parsed = _parse_file(path, display)
-        if isinstance(parsed, Finding):
-            report.findings.append(parsed)
-            continue
-        source, tree = parsed
-        suppressions = parse_suppressions(source)
-        suppressions_by_path[display] = suppressions
-        context = FileContext(path=display, source=source, tree=tree,
-                              file=path)
-        _check_file(context, file_rules, suppressions, report)
-        name = context.module
-        if name in model.modules:
-            # Same dotted name twice (e.g. two top-level conftest.py):
-            # qualify by display path to keep both analyzable.
-            name = f"{name}@{display}"
-        model.add_module(name, display, tree, source)
-
-    for rule in project_rules:
-        for finding in rule.check_project(model):
-            suppressions = suppressions_by_path.get(finding.path, {})
-            if is_suppressed(finding, suppressions):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
-
-    report.findings = [f for f in report.findings
-                       if f.severity >= min_severity]
-    if baseline is not None:
-        _apply_baseline(report, Path(baseline))
-    report.findings.sort()
-    return report
-
-
-# -- baseline workflow --------------------------------------------------------
-
-def finding_fingerprint(finding: Finding) -> str:
-    """Line-independent identity of a finding, for baseline matching."""
-    return f"{finding.rule}::{finding.path}::{finding.message}"
-
-
-def load_baseline(path: Path) -> Dict[str, int]:
-    """Fingerprint -> count multiset from a baseline file."""
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as error:
-        raise ValueError(f"unreadable baseline {path}: {error}") from error
-    if not isinstance(raw, dict) or "findings" not in raw:
-        raise ValueError(
-            f"baseline {path} is not a simlint baseline file "
-            f"(expected a JSON object with a 'findings' list)"
-        )
-    counts: Dict[str, int] = {}
-    for fingerprint in raw["findings"]:
-        counts[fingerprint] = counts.get(fingerprint, 0) + 1
-    return counts
-
-
-def write_baseline(report: LintReport, path: Path) -> None:
-    """Record the report's findings as the accepted baseline."""
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": sorted(finding_fingerprint(f) for f in report.findings),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _apply_baseline(report: LintReport, path: Path) -> None:
-    budget = load_baseline(path)
-    kept: List[Finding] = []
-    for finding in report.findings:
-        fingerprint = finding_fingerprint(finding)
-        if budget.get(fingerprint, 0) > 0:
-            budget[fingerprint] -= 1
-            report.baselined += 1
-        else:
-            kept.append(finding)
-    report.findings = kept
-
-
 __all__ = [
-    "BASELINE_VERSION",
     "LintReport",
     "PARSE_ERROR_RULE",
     "discover_files",
-    "finding_fingerprint",
     "lint_file",
-    "load_baseline",
     "run_lint",
-    "run_project_lint",
     "select_rules",
-    "write_baseline",
 ]

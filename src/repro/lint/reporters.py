@@ -1,7 +1,10 @@
 """Text and JSON renderers for lint reports.
 
 The JSON shape is versioned and documented in ``docs/lint-rules.md``; CI
-and editor integrations parse it, so additive changes only.
+and editor integrations parse it, so a change that only adds keys keeps
+the version and any other change bumps it.  Version 2 removed a summary
+key: the count of findings hidden by an accepted-findings file, which
+the linter no longer reads.
 """
 
 from __future__ import annotations
@@ -18,20 +21,17 @@ def render_text(report: LintReport) -> str:
         for f in report.findings
     ]
     summary = report.by_severity()
-    baselined = (f", {report.baselined} baselined" if report.baselined
-                 else "")
     lines.append(
         f"checked {report.files_checked} file(s): "
         f"{len(report.findings)} finding(s) "
         f"({summary['error']} error, {summary['warning']} warning, "
         f"{summary['info']} info), {report.suppressed} suppressed"
-        f"{baselined}"
     )
     return "\n".join(lines)
 
 
 def render_json(report: LintReport) -> str:
-    """Stable machine-readable rendering (schema version 1)."""
+    """Stable machine-readable rendering (schema version 2)."""
     return json.dumps(report.as_dict(), indent=2, sort_keys=True)
 
 

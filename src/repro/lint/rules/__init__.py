@@ -136,10 +136,6 @@ def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:
 
 
 from repro.lint.rules.catalog import CatalogSchemaRule  # noqa: E402
-from repro.lint.rules.dataflow import (  # noqa: E402
-    ALL_PROJECT_RULES,
-    ProjectRule,
-)
 from repro.lint.rules.determinism import (  # noqa: E402
     IdOrderingRule,
     SetIterationRule,
@@ -174,15 +170,13 @@ ALL_RULES: Tuple[Rule, ...] = (
 
 
 def rules_by_id() -> Dict[str, Rule]:
-    """Every registered rule — file and project — keyed by id."""
-    return {rule.id: rule for rule in ALL_RULES + ALL_PROJECT_RULES}
+    """Every registered rule, keyed by id."""
+    return {rule.id: rule for rule in ALL_RULES}
 
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "ALL_RULES",
     "FileContext",
-    "ProjectRule",
     "Rule",
     "call_name",
     "dotted_name",

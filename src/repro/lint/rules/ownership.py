@@ -1,9 +1,9 @@
 """Ownership rules: operations that only one module may perform.
 
-Process fan-out, signal handling, raw span pairing, ``run.jsonl`` and
-cache-entry writes, and a session's testbed each have one owning module
-or package; the same call anywhere else bypasses what the owner
-guarantees (see each row's rationale).  Each invariant is one row of
+Process fan-out, signal handling, ``run.jsonl`` and cache-entry writes,
+and a session's testbed each have one owning module or package; the
+same call anywhere else bypasses what the owner guarantees (see each
+row's rationale).  Each invariant is one row of
 :data:`OWNERSHIP_RULES`: a call matcher, the owners, and a message.
 Owners are dotted module scopes checked by
 :meth:`~repro.lint.rules.FileContext.in_scope`, so the cwd never
@@ -139,24 +139,6 @@ class OwnershipRule(Rule):
 
 
 OWNERSHIP_RULES: Tuple[OwnershipRule, ...] = (
-    OwnershipRule(
-        id="OBS501",
-        severity=Severity.WARNING,
-        title="raw begin_span/end_span instead of the span() context manager",
-        rationale=(
-            "A raw begin_span/end_span pair is not exception-safe: any "
-            "raise between the two leaves a dangling open span, so the "
-            "exported trace silently drops it or reports a wrong duration. "
-            "`with tracer.span(name, cat):` closes the span on every exit "
-            "path and records the exception type in the span args."
-        ),
-        matcher=call_tail({"begin_span", "end_span"}),
-        owners=("obs",),
-        message=(
-            "raw {call}() call; use `with tracer.span(name, cat):` so the "
-            "span is closed on every exit path"
-        ),
-    ),
     OwnershipRule(
         id="OBS502",
         severity=Severity.WARNING,

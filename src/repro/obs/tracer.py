@@ -14,13 +14,11 @@ Two event shapes:
 
 Disabled tracing is the common case, so it must cost nothing: call sites
 hold :data:`NULL_TRACER` (or check ``tracer.enabled``), whose methods are
-allocation-free no-ops sharing one reusable context manager.  The
-preferred recording API is the ``with tracer.span(...)`` context manager
-— it closes the span on *any* exit path, including exceptions and process
-interrupts, and annotates the span with the exception type when one
-escapes.  The raw :meth:`Tracer.begin_span`/:meth:`Tracer.end_span` pair
-exists for the context manager's own plumbing and is flagged outside this
-package by simlint rule OBS501.
+allocation-free no-ops sharing one reusable context manager.  A span
+opens only through the ``with tracer.span(...)`` context manager, which
+closes it on *any* exit path, including exceptions and process
+interrupts, and annotates it with the exception type when one escapes —
+so no span is left open.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ class Instant:
 
 @dataclass
 class SpanHandle:
-    """An open span returned by ``begin_span``; closed by ``end_span``."""
+    """An open span: what ``with tracer.span(...)`` binds."""
 
     name: str
     cat: str
@@ -94,7 +92,7 @@ class _SpanContext:
             args = dict(self._handle.args or {})
             args["error"] = exc_type.__name__
             self._handle.args = args
-        self._tracer.end_span(self._handle)
+        self._tracer._end_span(self._handle)
         return False
 
 
@@ -111,7 +109,6 @@ class _NullSpanContext:
 
 
 _NULL_SPAN_CONTEXT = _NullSpanContext()
-_NULL_HANDLE = SpanHandle(name="", cat="", start=0.0)
 
 
 class Tracer:
@@ -138,13 +135,8 @@ class Tracer:
                              args=args),
         )
 
-    def begin_span(self, name: str, cat: str = "app",
-                   args: Args = None) -> SpanHandle:
-        """Open a span by hand.  Prefer :meth:`span` (simlint OBS501)."""
-        return SpanHandle(name=name, cat=cat, start=self._clock.now, args=args)
-
-    def end_span(self, handle: SpanHandle) -> Span:
-        """Close a handle opened by :meth:`begin_span` at the current time."""
+    def _end_span(self, handle: SpanHandle) -> Span:
+        """Close a handle opened by :meth:`span` at the current time."""
         span = Span(name=handle.name, cat=handle.cat, start=handle.start,
                     end=self._clock.now, args=handle.args)
         self.spans.append(span)
@@ -200,13 +192,6 @@ class NullTracer:
     def span(self, name: str, cat: str = "app",
              args: Args = None) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
-
-    def begin_span(self, name: str, cat: str = "app",
-                   args: Args = None) -> SpanHandle:
-        return _NULL_HANDLE
-
-    def end_span(self, handle: SpanHandle) -> None:
-        return None
 
     def complete(self, name: str, cat: str, start: float,
                  end: Optional[float] = None, args: Args = None) -> None:

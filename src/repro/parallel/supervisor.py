@@ -45,6 +45,7 @@ pins process fan-out to ``repro.parallel``.
 
 from __future__ import annotations
 
+import gc
 import signal
 import time
 from collections import deque
@@ -205,7 +206,12 @@ class SupervisedExecutor(Executor):
     # -- pool lifecycle ----------------------------------------------------
 
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # A forked worker starts with a copy of the parent's uncollected
+        # garbage, killed pools included. Collecting such a copy runs its
+        # finalizer, which takes a lock that a parent thread may have held
+        # at the fork, and the worker blocks forever. Freezing the
+        # inherited heap keeps the worker's collector away from it.
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
         self._live_workers.set(workers)
         return pool
 

@@ -4,8 +4,9 @@ A fleet run is a pure function of its :class:`PopulationConfig`: session
 ``i`` always draws the same (tier, device, workload, network, page) and
 simulates with the same seed, whatever the worker count.  All randomness
 flows through :func:`~repro.core.experiments.derive_seed` and
-:func:`~repro.core.background.make_rng` — the audited construction
-points simlint's dataflow rules (DF701) trace.
+:func:`~repro.core.background.make_rng`; ``tests/test_golden.py`` pins
+the fleet aggregate, so a stream that leaves that chain shows up as a
+changed digest.
 
 Two seed namespaces keep sampling and simulation independent:
 

@@ -156,25 +156,40 @@ def test_trial_key_separates_trials_and_fingerprints(experiment, trial):
 
 # -- code fingerprints ------------------------------------------------------
 
-def _write_pkg(root, b_body="def helper():\n    return 1\n"):
+#: How ``pkg/a.py`` imports ``pkg/b.py`` (test id -> import line, call).
+IMPORT_FORMS = {
+    "from-pkg.b-import": ("from pkg.b import helper", "helper()"),
+    "import-pkg.b": ("import pkg.b", "pkg.b.helper()"),
+    "import-pkg.b-as": ("import pkg.b as b", "b.helper()"),
+    "from-dot-import-b": ("from . import b", "b.helper()"),
+    "from-dot-b-import": ("from .b import helper", "helper()"),
+    "from-pkg.b-import-star": ("from pkg.b import *", "helper()"),
+}
+
+
+def _write_pkg(root, b_body="def helper():\n    return 1\n",
+               import_form="from-pkg.b-import"):
+    import_line, call = IMPORT_FORMS[import_form]
     pkg = root / "pkg"
     pkg.mkdir(exist_ok=True)
     (pkg / "__init__.py").write_text("")
-    (pkg / "a.py").write_text("from pkg.b import helper\n\n"
+    (pkg / "a.py").write_text(f"{import_line}\n\n"
                               "def trial(seed):\n"
-                              "    return helper() + seed\n")
+                              f"    return {call} + seed\n")
     (pkg / "b.py").write_text(b_body)
     (pkg / "c.py").write_text("UNRELATED = True\n")
     return pkg
 
 
-def test_fingerprint_flips_on_dependency_edit_only(tmp_path):
-    _write_pkg(tmp_path)
+@pytest.mark.parametrize("import_form", IMPORT_FORMS)
+def test_fingerprint_flips_on_dependency_edit_only(tmp_path, import_form):
+    _write_pkg(tmp_path, import_form=import_form)
     clear_caches()
     before = fingerprint_modules(["pkg.a"], root=tmp_path)
 
     # Editing the imported module must flip the fingerprint...
-    _write_pkg(tmp_path, b_body="def helper():\n    return 2\n")
+    _write_pkg(tmp_path, b_body="def helper():\n    return 2\n",
+               import_form=import_form)
     clear_caches()
     after = fingerprint_modules(["pkg.a"], root=tmp_path)
     assert after != before

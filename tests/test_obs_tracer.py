@@ -66,10 +66,8 @@ def test_complete_and_instant_default_to_clock_now():
 def test_null_tracer_is_shared_and_stores_nothing():
     assert tracer_of(object()) is NULL_TRACER
     assert NULL_TRACER.enabled is False
-    with NULL_TRACER.span("a.b", "app") as handle:
+    with NULL_TRACER.span("a.b", "app", args={"k": 1}) as handle:
         assert handle is None
-    handle = NULL_TRACER.begin_span("a.b")  # simlint: disable=OBS501
-    assert NULL_TRACER.end_span(handle) is None  # simlint: disable=OBS501
     assert NULL_TRACER.complete("a.b", "app", 0.0) is None
     assert NULL_TRACER.instant("a.b") is None
     # The null tracer has no storage at all (no lists to leak into).

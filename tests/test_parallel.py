@@ -63,7 +63,7 @@ def test_unpicklable_fn_is_a_parallel_execution_error():
         return x
 
     with pytest.raises(ParallelExecutionError, match="not picklable"):
-        SupervisedExecutor(2).map(closure, [1, 2])  # simlint: disable=DF703
+        SupervisedExecutor(2).map(closure, [1, 2])
 
 
 def test_dropped_index_is_detected():

@@ -11,6 +11,7 @@ exercised the way an operator would hit it.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -61,6 +62,11 @@ def seeded_value(seed: int) -> float:
     return make_rng(seed).uniform(1.0, 2.0)
 
 
+def collect_garbage(x: int) -> int:
+    gc.collect()
+    return x
+
+
 def poison_plan(index: int, kind: str, attempts: int = 10,
                 hang_s: float = 60.0) -> ChaosPlan:
     """A plan that faults ``index`` on every dispatch — unrecoverable."""
@@ -85,6 +91,29 @@ def test_supervised_always_uses_the_pool():
     # smallest run crosses the process boundary (and therefore requires a
     # picklable task).
     assert SupervisedExecutor(4, **FAST).map(square, [7]) == [49]
+
+
+def test_workers_never_finalize_a_pool_inherited_from_the_parent():
+    # A dropped pool that the parent has not collected yet is copied into
+    # every worker forked after it. Its finalizer takes the pool's
+    # shutdown lock, which a parent thread may hold at the moment of the
+    # fork (here: held on purpose); a worker that collected the copy would
+    # block forever, and only the task timeout would end the trial.
+    executor = SupervisedExecutor(1, task_timeout_s=5.0, max_task_retries=0,
+                                  **FAST)
+    stale = executor._new_pool(1)
+    stale.submit(abs, 0).result()  # starts the thread the finalizer wakes
+    lock = stale._shutdown_lock
+    gc.disable()
+    lock.acquire()
+    try:
+        stale.cycle = stale  # only a collection can free it
+        del stale
+        assert executor.map(collect_garbage, [7]) == [7]
+    finally:
+        lock.release()
+        gc.enable()
+        gc.collect()
 
 
 def test_supervisor_constructor_validation():
@@ -329,6 +358,29 @@ def test_runner_taxonomy_mapping_for_hang_and_error(tmp_path):
     report = RobustTrialRunner(trials=2, experiment="qmap",
                                executor=corrupt).run(seeded_value)
     assert report.failure_counts() == {TRIAL_ERROR: 1}
+
+
+@pytest.mark.parametrize("kind", [CHAOS_CRASH, CHAOS_CORRUPT, CHAOS_HANG])
+def test_quarantined_trial_journal_is_byte_identical_across_runs(tmp_path,
+                                                                 kind):
+    # The supervisor's fault message becomes the journaled `error` of a
+    # quarantined trial, so it must carry nothing host-side (no watchdog
+    # clock, no pid): two runs of one plan journal the same bytes.  The
+    # only trial is the poisoned one, so no healthy trial can race the
+    # hang timeout or be charged for a crash it did not cause.
+    journals = []
+    for run in range(2):
+        journal = tmp_path / f"run{run}.json"
+        executor = ChaosExecutor(
+            2, poison_plan(0, kind),
+            task_timeout_s=0.3 if kind == CHAOS_HANG else None,
+            max_task_retries=1, **FAST)
+        report = RobustTrialRunner(trials=1, experiment="qjournal",
+                                   journal_path=journal,
+                                   executor=executor).run(seeded_value)
+        assert report.quarantined == 1
+        journals.append(journal.read_bytes())
+    assert journals[0] == journals[1]
 
 
 # -- signal handling --------------------------------------------------------

@@ -46,9 +46,9 @@ def test_thirty_percent_crash_rate_completes_with_failure_counts():
 
 
 def test_report_is_deterministic():
-    def run_once():
+    def run_once(max_attempts):
         runner = RobustTrialRunner(trials=10, experiment="det",
-                                   max_attempts=2)
+                                   max_attempts=max_attempts)
         report = runner.run(crashy_trial)
         rows = []
         for record in report.records:
@@ -59,7 +59,12 @@ def test_report_is_deterministic():
             rows.append(row)
         return rows
 
-    assert run_once() == run_once()
+    # Two attempts rescue every crash of this experiment; with one, some
+    # trials keep a failure, whose error text must replay exactly too.
+    assert run_once(2) == run_once(2)
+    failed_once = run_once(1)
+    assert any(row["error"] for row in failed_once)
+    assert failed_once == run_once(1)
 
 
 # -- retry with derived reseed ----------------------------------------------
