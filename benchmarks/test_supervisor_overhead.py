@@ -69,7 +69,7 @@ def test_supervisor_overhead(fig_printer, perf_track):
     # task's one-time import costs.
     run_batch(SerialExecutor())
     serial_s, serial_outside, serial_results = run_batch(SerialExecutor())
-    supervised = SupervisedExecutor(JOBS, poll_interval_s=0.02)
+    supervised = SupervisedExecutor(JOBS)
     supervised_s, supervised_outside, supervised_results = run_batch(
         supervised)
 
@@ -88,5 +88,5 @@ def test_supervisor_overhead(fig_printer, perf_track):
 
     # Same results, no supervision events, bounded overhead.
     assert supervised_results == serial_results
-    assert supervised.last_supervision.clean
+    assert supervised.supervision.clean
     assert overhead < max(MAX_OVERHEAD * serial_s, JITTER_FLOOR_S)

@@ -11,8 +11,9 @@ recomputation of precisely the affected experiments — nothing more.
 Entry points:
 
 * :class:`TrialKeyer` — per-sweep keys plus validated lookup and store,
-  which :mod:`repro.core.pipeline` drives for every runner and sweep (an
-  attached ``executor.cache`` is picked up, mirroring ``executor.runlog``);
+  which :mod:`repro.core.pipeline` drives for every runner and sweep with
+  the cache the executor carries (``executor.cache``, beside
+  ``executor.runlog``);
 * ``python -m repro <figure> --cache DIR`` / ``REPRO_CACHE`` wire it up
   from the CLI; ``python -m repro cache stats|gc|clear`` maintains it.
 """
@@ -42,7 +43,6 @@ from repro.cache.store import (
     TrialKeyer,
     decode_result,
     encode_result,
-    resolve_cache,
 )
 
 __all__ = [
@@ -65,6 +65,5 @@ __all__ = [
     "decode_result",
     "encode_result",
     "fingerprint_modules",
-    "resolve_cache",
     "trial_key",
 ]

@@ -19,9 +19,9 @@ participate in a stable key — lambdas, closures, arbitrary objects —
 raise :class:`Uncacheable`, and the caller degrades to plain execution
 instead of guessing.
 
-Execution infrastructure (executors, runlogs, the cache itself) is
-skipped rather than rejected: a study config legitimately holds an
-executor, but which executor ran a trial must never change its key.
+Execution infrastructure (executors, runlogs, the cache itself) is such
+an arbitrary object.  Tasks carry only what their result depends on; the
+run's executor, runlog and cache travel beside them, never inside.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ import types
 from pathlib import Path
 from typing import Any, List
 
-from repro.obs.runlog import NullRunLog, RunLog
-from repro.parallel import Executor
-
 #: Bumped whenever the key derivation itself changes shape, so stores
 #: written by an older scheme read as misses instead of wrong hits.
 KEY_VERSION = 2
@@ -46,23 +43,8 @@ class Uncacheable(Exception):
     """The value cannot participate in a stable cache key."""
 
 
-#: Sentinel for values that are execution infrastructure: silently
-#: omitted from keys rather than rejected (see module docstring).
-_OMIT = object()
-
 _FUNCTION_TYPES = (types.FunctionType, types.BuiltinFunctionType,
                    types.MethodType)
-
-_INFRASTRUCTURE_TYPES = (Executor, RunLog, NullRunLog)
-
-
-def _is_infrastructure(value: Any) -> bool:
-    if isinstance(value, _INFRASTRUCTURE_TYPES):
-        return True
-    # The cache itself (repro.cache.store.TrialCache) is recognized by a
-    # marker attribute instead of an isinstance check so this module
-    # never imports the store (which imports this module for keys).
-    return bool(getattr(value, "cache_infrastructure", False))
 
 
 def _qualname(cls: type) -> str:
@@ -82,32 +64,19 @@ def _canon(value: Any) -> Any:
         return ["bytes", base64.b64encode(value).decode("ascii")]
     if isinstance(value, Path):
         return ["path", value.as_posix()]
-    if _is_infrastructure(value):
-        return _OMIT
     if isinstance(value, (list, tuple)):
-        items = [_canon(v) for v in value]
-        return ["seq", [item for item in items if item is not _OMIT]]
+        return ["seq", [_canon(v) for v in value]]
     if isinstance(value, (set, frozenset)):
-        items = [item for item in (_canon(v) for v in value)
-                 if item is not _OMIT]
-        return ["set", sorted(items, key=_sort_key)]
+        return ["set", sorted((_canon(v) for v in value), key=_sort_key)]
     if isinstance(value, dict):
-        pairs: List[List[Any]] = []
-        for key, val in value.items():
-            canon_key, canon_val = _canon(key), _canon(val)
-            if canon_key is _OMIT or canon_val is _OMIT:
-                continue
-            pairs.append([canon_key, canon_val])
+        pairs: List[List[Any]] = [[_canon(key), _canon(val)]
+                                  for key, val in value.items()]
         pairs.sort(key=lambda pair: _sort_key(pair[0]))
         return ["map", pairs]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {}
-        for spec in dataclasses.fields(value):
-            item = _canon(getattr(value, spec.name))
-            if item is _OMIT:
-                continue
-            fields[spec.name] = item
-        return ["dc", _qualname(type(value)), fields]
+        return ["dc", _qualname(type(value)),
+                {spec.name: _canon(getattr(value, spec.name))
+                 for spec in dataclasses.fields(value)}]
     if isinstance(value, _FUNCTION_TYPES):
         qualname = getattr(value, "__qualname__", "")
         if "<locals>" in qualname or "<lambda>" in qualname:
@@ -125,11 +94,8 @@ def canonicalize(value: Any) -> Any:
     """JSON-serializable canonical form of a trial parameter value.
 
     Raises :class:`Uncacheable` for values with no stable identity.
-    Infrastructure values (executors, runlogs, caches) canonicalize to
-    ``None`` at the top level — they never distinguish two trials.
     """
-    out = _canon(value)
-    return None if out is _OMIT else out
+    return _canon(value)
 
 
 def canonical_json(value: Any) -> str:

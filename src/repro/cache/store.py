@@ -19,10 +19,10 @@ this exact trial."  Two payload kinds cover the two execution layers:
   sessions) for the plain ``Executor.map`` sweeps.
 
 Single-writer discipline mirrors the journal and the runlog: only the
-parent process consults or writes the cache (workers return results;
-executors carry a :class:`TrialCache` reference that is never called
-from a worker), and every write is an atomic tmp-then-replace so a
-killed run never leaves a torn entry.  simlint rule CSH801 flags
+parent process consults or writes the cache (workers return results; the
+executor that carries the run's :class:`TrialCache` never ships it to a
+worker), and every write is an atomic tmp-then-replace so a killed run
+never leaves a torn entry.  simlint rule CSH801 flags
 ``*.cache.json`` writes outside this package.
 
 :class:`TrialKeyer` is the only reader and writer the runners use: its
@@ -104,10 +104,6 @@ class CacheStats:
 
 class TrialCache:
     """Sharded on-disk store of content-addressed trial results."""
-
-    #: Recognized by :mod:`repro.cache.keys` so a cache attached to an
-    #: executor or config is omitted from keys like other infrastructure.
-    cache_infrastructure = True
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
@@ -351,25 +347,6 @@ class TrialKeyer:
         return True
 
 
-def resolve_cache(*candidates: Any) -> Optional[TrialCache]:
-    """First cache among explicit values and executor attachments.
-
-    Mirrors how runlogs travel: the CLI attaches one
-    :class:`TrialCache` to the executor (``executor.cache``), and every
-    sweep that dispatches through that executor picks it up without a
-    parameter threading through each study config.
-    """
-    for candidate in candidates:
-        if candidate is None:
-            continue
-        if isinstance(candidate, TrialCache):
-            return candidate
-        attached = getattr(candidate, "cache", None)
-        if isinstance(attached, TrialCache):
-            return attached
-    return None
-
-
 __all__ = [
     "CACHE_MARKER",
     "CACHE_VERSION",
@@ -383,5 +360,4 @@ __all__ = [
     "TrialKeyer",
     "decode_result",
     "encode_result",
-    "resolve_cache",
 ]

@@ -72,10 +72,10 @@ def _executor(args):
     recovery, hung-task timeout, poison-task quarantine, SIGINT/SIGTERM
     drain); ``--task-timeout`` and ``--max-task-retries`` tune it.
 
-    One instance per invocation (cached on ``args``): the run's
-    :class:`~repro.obs.runlog.RunLog` is attached here, and ``main``
-    reads the accumulated supervision totals back off the same instance
-    for the post-run ``supervision:`` summary.
+    One instance per invocation (cached on ``args``): it carries the
+    run's :class:`~repro.obs.runlog.RunLog` and trial cache to every
+    sweep of the command, and ``main`` reads its accumulated
+    ``supervision`` record back for the post-run summary.
     """
     cached = getattr(args, "_executor_instance", None)
     if cached is not None:
@@ -90,11 +90,7 @@ def _executor(args):
     runlog = getattr(args, "_runlog", None)
     if runlog is not None:
         executor.runlog = runlog
-    cache = getattr(args, "_cache", None)
-    if cache is not None:
-        # Studies resolve the cache off the executor the same way they
-        # resolve the runlog — one attachment covers a whole command.
-        executor.cache = cache
+    executor.cache = getattr(args, "_cache", None)
     args._executor_instance = executor
     return executor
 
@@ -139,8 +135,8 @@ def report_fanout(args, executor, cache) -> None:
     stderr, not stdout: stdout stays byte-identical across ``--jobs``
     values and cache states (CI compares it).
     """
-    totals = getattr(executor, "supervision_totals", None)
-    if totals is not None and args.jobs >= 2:
+    totals = getattr(executor, "supervision", None)
+    if totals is not None:
         print(f"supervision: {totals.pool_rebuilds} rebuilds, "
               f"{totals.task_retries} retries, "
               f"{len(totals.quarantined)} quarantined", file=sys.stderr)

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.analysis.stats import Summary, summarize
-from repro.cache import KIND_RECORD, Codec, TrialCache, TrialKeyer, resolve_cache
+from repro.cache import KIND_RECORD, Codec, TrialCache, TrialKeyer
 from repro.core.pipeline import (
     TRIAL_CRASH,
     TRIAL_DEADLOCK,
@@ -60,10 +60,9 @@ from repro.core.pipeline import (
     Failure,
     classify,
     dispatch,
-    resolve_runlog,
 )
 from repro.obs.runlog import RUNLOG_VERSION, RunLog
-from repro.parallel import Executor, SerialExecutor, SupervisionReport
+from repro.parallel import Executor, SerialExecutor
 from repro.sim import StepBudgetExceeded
 
 def derive_seed(experiment: str, trial: int) -> int:
@@ -152,12 +151,6 @@ class RobustRunReport:
     records: list[TrialRecord] = field(default_factory=list)
     resumed: int = 0  #: trials satisfied from the journal, not re-executed
     quarantined: int = 0  #: trials the executor's supervisor gave up on
-    #: Host-level supervision stats of the run (pool rebuilds, task
-    #: retries), when the executor is supervised.  Deliberately absent
-    #: from journals: how often the pool broke is a fact about the host,
-    #: not the experiment — the same policy that keeps
-    #: ``duration_wall_s`` out of the journal schema.
-    supervision: Optional[SupervisionReport] = None
 
     @property
     def values(self) -> list[float]:
@@ -219,6 +212,8 @@ class RobustTrialRunner:
     (worker crash, hang, unpicklable result); quarantined trials are
     classified into the same crash/timeout/error taxonomy and journaled
     as ordinary failures, so ``--resume`` re-runs them.
+
+    ``runlog`` and ``cache`` default to the ones the executor carries.
     """
 
     def __init__(
@@ -328,7 +323,9 @@ class RobustTrialRunner:
             report.resumed = len(records)
         pending = [trial for trial in range(self.trials)
                    if trial not in records]
-        runlog = resolve_runlog(self.runlog, self.executor)
+        runlog = self.runlog if self.runlog is not None \
+            else self.executor.runlog
+        cache = self.cache if self.cache is not None else self.executor.cache
         runlog.emit(
             "run_start", experiment=self.experiment, trials=self.trials,
             pending=len(pending), resumed=report.resumed,
@@ -338,9 +335,10 @@ class RobustTrialRunner:
                 "max_attempts": self.max_attempts,
             },
         )
-        task = _TrialTask(runner=self, trial_fn=trial_fn)
+        task = _TrialTask(experiment=self.experiment,
+                          max_attempts=self.max_attempts, trial_fn=trial_fn)
         keyer = TrialKeyer.create(
-            resolve_cache(self.cache, self.executor), trial_fn,
+            cache, trial_fn,
             experiment=self.experiment,
             extra={"max_attempts": self.max_attempts},
             code_extra=(type(self),), codec=_RECORD_CODEC,
@@ -372,7 +370,6 @@ class RobustTrialRunner:
                 steps=record.steps, error=record.error[:200],
                 host={"wall_s": round(record.duration_wall_s, 6)},
             )
-        report.supervision = getattr(self.executor, "last_supervision", None)
         if not pending:
             # Every trial was satisfied from the journal: rewrite it anyway
             # so the header (version, trials) never goes stale.
@@ -382,8 +379,24 @@ class RobustTrialRunner:
                     failures=report.failures, quarantined=report.quarantined)
         return report
 
-    def _run_trial(self, trial_fn: Callable, trial: int) -> TrialRecord:
-        record = TrialRecord(trial=trial, seed=derive_seed(self.experiment, trial),
+
+@dataclass(frozen=True)
+class _TrialTask:
+    """Picklable unit of work an executor ships to a worker: one trial's
+    attempt loop.
+
+    It carries only what a trial's record depends on; the worker
+    re-derives every seed from the trial index, and the returned
+    :class:`TrialRecord` is the only thing that crosses back.
+    """
+
+    experiment: str
+    max_attempts: int
+    trial_fn: Callable
+
+    def __call__(self, trial: int) -> TrialRecord:
+        record = TrialRecord(trial=trial,
+                             seed=derive_seed(self.experiment, trial),
                              status=TRIAL_ERROR)
         for attempt in range(self.max_attempts):
             seed = derive_retry_seed(self.experiment, trial, attempt)
@@ -393,7 +406,7 @@ class RobustTrialRunner:
             # and never the journal, so it must read a real clock.
             started = time.monotonic()  # simlint: disable=DET001
             try:
-                value = trial_fn(seed)
+                value = self.trial_fn(seed)
             except Exception as error:  # noqa: BLE001 - taxonomy boundary
                 record.status, record.error = classify(error)
                 if isinstance(error, StepBudgetExceeded):
@@ -421,22 +434,6 @@ class RobustTrialRunner:
                     time.monotonic() - started  # simlint: disable=DET001
                 )
         return record
-
-
-@dataclass
-class _TrialTask:
-    """Picklable unit of work an executor ships to a worker.
-
-    Pickling the runner carries only its configuration (ints, paths); the
-    worker re-derives everything else from the trial index, and the
-    returned :class:`TrialRecord` is the only thing that crosses back.
-    """
-
-    runner: RobustTrialRunner
-    trial_fn: Callable
-
-    def __call__(self, trial: int) -> TrialRecord:
-        return self.runner._run_trial(self.trial_fn, trial)
 
 
 def _decode_record(payload: dict, trial: int) -> TrialRecord:

@@ -26,6 +26,11 @@ Item order is what makes every fold independent of ``--jobs`` and of the
 cache state: it sees the same sequence cold, warm, half-warm, serial or
 pooled.
 
+The task carries only what its result depends on; the run — runlog and
+trial cache — rides on the executor (``executor.runlog``,
+``executor.cache``), which the CLI sets once per command.  A runner may
+override either with its own.
+
 The module also owns the trial status taxonomy, so a simulation's
 exception (:func:`classify`) and a host-level quarantine map onto the
 same statuses everywhere.
@@ -36,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cache import MISS, TrialKeyer, resolve_cache
-from repro.obs.runlog import AnyRunLog, NULL_RUNLOG, runlog_of
+from repro.cache import MISS, TrialKeyer
+from repro.obs.runlog import AnyRunLog, NULL_RUNLOG
 from repro.parallel import (Executor, ParallelExecutionError, QuarantinedTask,
                             TASK_HANG, WORKER_CRASH)
 from repro.sim import Interrupt, SimDeadlock, StepBudgetExceeded
@@ -86,17 +91,6 @@ class Failure:
                           f"faulted dispatches ({quarantined.kind}): "
                           f"{quarantined.error}"),
                    attempts=quarantined.attempts)
-
-
-def resolve_runlog(runlog: Optional[AnyRunLog],
-                   executor: Executor) -> AnyRunLog:
-    """``runlog``, else the one attached to the executor, else null.
-
-    The CLI attaches one :class:`~repro.obs.runlog.RunLog` to the
-    executor for a whole multi-sweep command, so every sweep gets
-    run-level logging without a parameter threading through each config.
-    """
-    return runlog if runlog is not None else runlog_of(executor)
 
 
 def dispatch(executor: Executor, task: Callable[[Any], Any],
@@ -169,13 +163,11 @@ def cached_map(executor: Executor, task: Callable[[Any], Any],
 
     The fold of the figure sweeps: a point summarizes the trials that
     survived (smaller n), the same degradation sim-level failures get.
-    The cache is the one attached to ``executor`` (``executor.cache``),
-    if any.
+    The cache and runlog are the ones the executor carries.
     """
-    keyer = TrialKeyer.create(resolve_cache(executor), task,
-                              experiment=experiment)
+    keyer = TrialKeyer.create(executor.cache, task, experiment=experiment)
     return [result for _, result, _ in dispatch(
-        executor, task, items, keyer=keyer, runlog=runlog_of(executor))
+        executor, task, items, keyer=keyer, runlog=executor.runlog)
         if not isinstance(result, Failure)]
 
 
@@ -189,5 +181,4 @@ __all__ = [
     "cached_map",
     "classify",
     "dispatch",
-    "resolve_runlog",
 ]

@@ -57,7 +57,6 @@ from repro.obs.runlog import (
     deterministic_bytes,
     deterministic_events,
     read_runlog,
-    runlog_of,
 )
 from repro.obs.tracer import (
     Instant,
@@ -136,7 +135,6 @@ __all__ = [
     "install",
     "metrics_json",
     "read_runlog",
-    "runlog_of",
     "text_summary",
     "write_chrome_trace",
 ]

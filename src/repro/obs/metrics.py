@@ -3,12 +3,10 @@
 The registry is the quantitative half of :mod:`repro.obs`.  Instruments
 are named with dotted lowercase namespaces mirroring the package that
 emits them — ``net.link.tx_bytes``, ``video.stalls``, ``web.fetch_ms``,
-``device.dvfs.transitions``, ``faults.injected``, ``sim.steps``, and the
-host-level ``parallel.*`` supervision family (``parallel.pool_rebuilds``,
-``parallel.task_retries``, ``parallel.quarantined`` counters and the
-``parallel.live_workers`` gauge) — so a flat snapshot reads like a table
-of contents of one trial.  The ``parallel.*`` instruments measure the
-execution host, not the simulation.
+``device.dvfs.transitions``, ``faults.injected``, ``sim.steps`` — so a
+flat snapshot reads like a table of contents of one trial.  Facts about
+the execution host (pool rebuilds, task retries) are not metrics; the
+supervisor keeps them in its ``supervision`` record.
 
 Determinism: instruments hold plain Python floats/ints fed exclusively
 from simulated quantities, and :meth:`MetricsRegistry.snapshot` sorts by

@@ -6,7 +6,9 @@ the host-level facts the journal deliberately omits: when each trial
 finished and how long it took on the wall clock, how often the worker
 pool broke, which tasks hung or were quarantined, whether a SIGINT drain
 cut the sweep short.  ``RobustTrialRunner`` and ``SupervisedExecutor``
-emit into one :class:`RunLog`; the same event stream feeds the live
+emit into one :class:`RunLog`, the one the executor carries
+(``executor.runlog``); tasks never hold it, so it is never pickled into
+a worker.  The same event stream feeds the live
 ``--progress`` renderer (:mod:`repro.obs.progress`) and the post-hoc
 ``python -m repro report`` view (:mod:`repro.obs.report`).
 
@@ -120,13 +122,6 @@ class RunLog:
             self._fh.close()
             self._fh = None
 
-    def __reduce__(self) -> Any:
-        # Only the parent process logs; a RunLog caught inside a pickled
-        # task (the runner/executor travel with it) arrives in the
-        # worker as the disabled null object instead of dragging an open
-        # file handle across the process boundary.
-        return (NullRunLog, ())
-
     def __enter__(self) -> "RunLog":
         return self
 
@@ -158,12 +153,6 @@ class NullRunLog:
 NULL_RUNLOG = NullRunLog()
 
 AnyRunLog = Union[RunLog, NullRunLog]
-
-
-def runlog_of(obj: Any) -> AnyRunLog:
-    """``obj.runlog`` when attached and enabled, else the null singleton."""
-    runlog = getattr(obj, "runlog", None)
-    return NULL_RUNLOG if runlog is None else runlog
 
 
 def read_runlog(path: Union[str, Path]) -> List[Event]:
@@ -219,5 +208,4 @@ __all__ = [
     "deterministic_bytes",
     "deterministic_events",
     "read_runlog",
-    "runlog_of",
 ]

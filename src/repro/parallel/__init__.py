@@ -3,10 +3,11 @@
 ``repro.parallel.supervisor`` adds the fault-tolerant production path
 (pool rebuild, hung-task timeout, poison-task quarantine, signal drain);
 ``repro.parallel.chaos`` is the deterministic host-fault test harness.
-Executors participate in run-level observability by carrying an optional
-``runlog`` attribute (a :class:`repro.obs.runlog.RunLog`) that the CLI
-attaches — supervision events then land in ``run.jsonl`` next to the
-journal.  See ``docs/observability.md`` ("Run-level observability").
+Every executor carries the run's ``runlog`` (a
+:class:`repro.obs.runlog.RunLog`, default the null object) and trial
+``cache``, which the CLI sets once per command — supervision events then
+land in ``run.jsonl`` next to the journal.  See ``docs/observability.md``
+("Run-level observability").
 """
 
 from repro.parallel.executors import (

@@ -24,7 +24,10 @@ Two implementations share one contract:
 
 Workers never touch shared files: journals, CSVs, and figure tables are
 written by the parent after the merge (see
-:class:`repro.core.experiments.RobustTrialRunner`).  This module is the
+:class:`repro.core.experiments.RobustTrialRunner`).  An executor also
+carries the run: the ``runlog`` and trial ``cache`` that every sweep
+dispatched through it uses.  Both stay in the parent; a task carries
+only what its result depends on.  This module is the
 only place in the codebase allowed to spawn worker processes — simlint
 rule PAR601 enforces that.
 """
@@ -32,7 +35,13 @@ rule PAR601 enforces that.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional,
+                    Sequence, Tuple)
+
+from repro.obs.runlog import AnyRunLog, NULL_RUNLOG
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the cache never runs here
+    from repro.cache.store import TrialCache
 
 
 class ParallelExecutionError(RuntimeError):
@@ -67,6 +76,13 @@ class Executor:
 
     #: Worker-process count the executor was configured for (1 = serial).
     jobs: int = 1
+    #: Run-level event stream of every sweep dispatched through this
+    #: executor (supervision events included); the CLI sets it once per
+    #: command.
+    runlog: AnyRunLog = NULL_RUNLOG
+    #: Trial cache of every sweep dispatched through this executor; the
+    #: CLI sets it once per command.
+    cache: Optional[TrialCache] = None
 
     def run_tasks(self, fn: Callable[[Any], Any],
                   items: Sequence[Any]) -> Iterator[Tuple[int, Any]]:

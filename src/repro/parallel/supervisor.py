@@ -29,12 +29,9 @@ chaos-afflicted run's journal is *byte-identical* to a serial run's.
 Supervision events are host-level facts (how often the pool broke on
 this machine) and therefore deliberately stay out of journals — the same
 policy that keeps ``duration_wall_s`` out of the journal schema.
-They are observable through the ``parallel.*`` metrics namespace
-(``parallel.pool_rebuilds``, ``parallel.task_retries``,
-``parallel.quarantined`` counters and the ``parallel.live_workers``
-gauge), through :attr:`SupervisedExecutor.last_supervision` /
-:attr:`SupervisedExecutor.supervision_totals`, and — when a
-:class:`repro.obs.runlog.RunLog` is attached — as host-keyed events
+They are observable in one record, :attr:`SupervisedExecutor.supervision`
+(accumulated over the executor's lifetime), and — when the executor's
+``runlog`` is a :class:`repro.obs.runlog.RunLog` — as host-keyed events
 (``task_dispatch``, ``task_retry``, ``pool_rebuild``, ``hang_reclaim``,
 ``quarantine``, ``signal_drain``) in the run-level ``run.jsonl`` stream.
 
@@ -63,11 +60,8 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.obs.metrics import MetricsRegistry, NullMetrics, NULL_METRICS
-from repro.obs.runlog import AnyRunLog, NULL_RUNLOG
 from repro.parallel.executors import Executor, ensure_picklable
 
 #: Quarantine taxonomy: why the supervisor gave up on a task.
@@ -75,10 +69,16 @@ WORKER_CRASH = "worker_crash"  #: the worker process died (pool broken)
 TASK_HANG = "task_hang"        #: the task exceeded ``task_timeout_s``
 TASK_ERROR = "task_error"      #: the task raised (or its result would not pickle)
 
-_QUARANTINE_KINDS = frozenset({WORKER_CRASH, TASK_HANG, TASK_ERROR})
-
 #: Exceptions that mean "the pool itself died", not "the task failed".
 _POOL_FAILURES = (BrokenProcessPool, CancelledError)
+
+#: How long one wait for finished futures blocks before the loop checks
+#: deadlines and signals again.
+_POLL_S = 0.05
+
+#: How long a signal drain collects in-flight results when there is no
+#: task timeout to bound it.
+_DRAIN_GRACE_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class QuarantinedTask:
 
 @dataclass
 class SupervisionReport:
-    """What the supervisor had to do during one ``run_tasks`` call."""
+    """What the supervisor had to do over its executor's lifetime."""
 
     pool_rebuilds: int = 0
     task_retries: int = 0
@@ -139,13 +139,12 @@ class SupervisedExecutor(Executor):
     deadline honest, and bounds the blast radius of a pool break to at
     most ``max_workers`` re-dispatched tasks.
 
-    ``drain_signals=True`` (the default) registers SIGINT/SIGTERM
-    handlers for the duration of the run: the first signal stops new
-    submissions, drains in-flight results for up to ``drain_grace_s``
-    (so the caller's journal captures them), then raises
-    ``KeyboardInterrupt``; a second signal aborts the drain immediately.
-    Handlers are always restored, and registration is skipped off the
-    main thread.
+    Every run registers SIGINT/SIGTERM handlers for its duration: the
+    first signal stops new submissions, drains in-flight results for up
+    to ``task_timeout_s`` (30 s without one) so the caller's journal
+    captures them, then raises ``KeyboardInterrupt``; a second signal
+    aborts the drain immediately.  Handlers are always restored, and
+    registration is skipped off the main thread.
     """
 
     def __init__(
@@ -154,11 +153,6 @@ class SupervisedExecutor(Executor):
         *,
         task_timeout_s: Optional[float] = None,
         max_task_retries: int = 3,
-        drain_signals: bool = True,
-        drain_grace_s: Optional[float] = None,
-        poll_interval_s: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
-        runlog: Optional[AnyRunLog] = None,
     ):
         if max_workers < 1:
             raise ValueError("need at least one worker")
@@ -166,33 +160,13 @@ class SupervisedExecutor(Executor):
             raise ValueError("task timeout must be positive")
         if max_task_retries < 0:
             raise ValueError("max task retries cannot be negative")
-        if poll_interval_s <= 0:
-            raise ValueError("poll interval must be positive")
         self.jobs = max_workers
         self.task_timeout_s = task_timeout_s
         self.max_task_retries = max_task_retries
-        self.drain_signals = drain_signals
-        self.drain_grace_s = (
-            drain_grace_s if drain_grace_s is not None
-            else (task_timeout_s if task_timeout_s is not None else 30.0)
-        )
-        self.poll_interval_s = poll_interval_s
-        self._metrics: Union[MetricsRegistry, NullMetrics] = (
-            metrics if metrics is not None else NULL_METRICS
-        )
-        self._pool_rebuilds = self._metrics.counter("parallel.pool_rebuilds")
-        self._task_retries = self._metrics.counter("parallel.task_retries")
-        self._quarantined = self._metrics.counter("parallel.quarantined")
-        self._live_workers = self._metrics.gauge("parallel.live_workers")
-        #: Run-level event stream for supervision events (host facts).
-        #: The CLI attaches one after construction; default is the no-op.
-        self.runlog: AnyRunLog = runlog if runlog is not None else NULL_RUNLOG
-        #: Supervision stats of the most recent ``run_tasks`` call.
-        self.last_supervision = SupervisionReport()
         #: Supervision stats accumulated over every ``run_tasks`` call of
         #: this executor's lifetime — what the CLI's one-line
         #: ``supervision:`` summary prints after a multi-sweep command.
-        self.supervision_totals = SupervisionReport()
+        self.supervision = SupervisionReport()
         self._signals_seen = 0
 
     # -- submission hook ---------------------------------------------------
@@ -211,44 +185,38 @@ class SupervisedExecutor(Executor):
         # finalizer, which takes a lock that a parent thread may have held
         # at the fork, and the worker blocks forever. Freezing the
         # inherited heap keeps the worker's collector away from it.
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
-        self._live_workers.set(workers)
-        return pool
+        return ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
 
     def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
         """Tear a pool down without waiting — hung workers included.
 
         ``shutdown`` alone never reclaims a worker stuck in a busy loop;
-        terminating the processes first is the only way to cancel a hung
-        task.  ``_processes`` is private API, so failures to reach it
-        degrade to a plain shutdown (the leaked worker dies with the
-        parent).
+        killing the processes first is the only way to cancel a hung
+        task.  SIGKILL, not SIGTERM: a worker forked during a run
+        inherits the drain handler, which only counts a SIGTERM.
+        ``_processes`` is private API, so failures to reach it degrade to
+        a plain shutdown (the leaked worker dies with the parent).
         """
         try:
             processes = dict(getattr(pool, "_processes", None) or {})
             for process in processes.values():
-                process.terminate()
+                process.kill()
         except Exception:
             pass
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
-        self._live_workers.set(0)
 
-    def _rebuild_pool(self, workers: int,
-                      report: SupervisionReport) -> ProcessPoolExecutor:
-        report.pool_rebuilds += 1
-        self.supervision_totals.pool_rebuilds += 1
-        self._pool_rebuilds.inc()
+    def _rebuild_pool(self, workers: int) -> ProcessPoolExecutor:
+        self.supervision.pool_rebuilds += 1
         self.runlog.emit("pool_rebuild", workers=workers)
         return self._new_pool(workers)
 
     # -- fault accounting --------------------------------------------------
 
     def _record_fault(self, index: int, attempts: List[int], kind: str,
-                      error: str,
-                      report: SupervisionReport) -> Optional[QuarantinedTask]:
+                      error: str) -> Optional[QuarantinedTask]:
         """Count one faulted dispatch; quarantine when the budget is spent.
 
         Returns the :class:`QuarantinedTask` to yield, or ``None`` when
@@ -259,23 +227,17 @@ class SupervisedExecutor(Executor):
             quarantined = QuarantinedTask(index=index, kind=kind,
                                           attempts=attempts[index],
                                           error=error)
-            report.quarantined.append(quarantined)
-            self.supervision_totals.quarantined.append(quarantined)
-            self._quarantined.inc()
+            self.supervision.quarantined.append(quarantined)
             self.runlog.emit("quarantine", index=index, kind=kind,
                              attempts=attempts[index], error=error)
             return quarantined
-        report.task_retries += 1
-        self.supervision_totals.task_retries += 1
-        self._task_retries.inc()
+        self.supervision.task_retries += 1
         self.runlog.emit("task_retry", index=index, kind=kind, error=error)
         return None
 
     # -- signal plumbing ---------------------------------------------------
 
     def _install_handlers(self) -> Optional[Dict[int, Any]]:
-        if not self.drain_signals:
-            return None
         self._signals_seen = 0
 
         def on_signal(signum: int, frame: Any) -> None:
@@ -303,14 +265,13 @@ class SupervisedExecutor(Executor):
     def run_tasks(self, fn: Callable[[Any], Any],
                   items: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
         work = list(items)
-        self.last_supervision = SupervisionReport()
         if not work:
             return
         ensure_picklable(fn)
-        yield from self._supervise(fn, work, self.last_supervision)
+        yield from self._supervise(fn, work)
 
-    def _supervise(self, fn: Callable[[Any], Any], work: list,
-                   report: SupervisionReport) -> Iterator[Tuple[int, Any]]:
+    def _supervise(self, fn: Callable[[Any], Any],
+                   work: list) -> Iterator[Tuple[int, Any]]:
         workers = min(self.jobs, len(work))
         queue: Deque[int] = deque(range(len(work)))
         attempts: List[int] = [0] * len(work)
@@ -350,8 +311,7 @@ class SupervisedExecutor(Executor):
                     self.runlog.emit("task_dispatch", index=index,
                                      attempt=attempts[index])
                 if not broken and inflight:
-                    done, _ = wait(set(inflight),
-                                   timeout=self.poll_interval_s)
+                    done, _ = wait(set(inflight), timeout=_POLL_S)
                     for future in done:
                         slot = inflight.pop(future)
                         tag, payload = _settle(future)
@@ -361,8 +321,7 @@ class SupervisedExecutor(Executor):
                             yield slot.index, payload
                         elif tag == "error":
                             quarantined = self._record_fault(
-                                slot.index, attempts, TASK_ERROR, payload,
-                                report)
+                                slot.index, attempts, TASK_ERROR, payload)
                             if quarantined is not None:
                                 yield slot.index, quarantined
                             else:
@@ -370,8 +329,7 @@ class SupervisedExecutor(Executor):
                         else:  # pool failure
                             broken = True
                             quarantined = self._record_fault(
-                                slot.index, attempts, WORKER_CRASH, payload,
-                                report)
+                                slot.index, attempts, WORKER_CRASH, payload)
                             if quarantined is not None:
                                 yield slot.index, quarantined
                             else:
@@ -392,14 +350,14 @@ class SupervisedExecutor(Executor):
                             continue
                         kind = TASK_ERROR if tag == "error" else WORKER_CRASH
                         quarantined = self._record_fault(
-                            slot.index, attempts, kind, payload, report)
+                            slot.index, attempts, kind, payload)
                         if quarantined is not None:
                             yield slot.index, quarantined
                         else:
                             queue.append(slot.index)
                     inflight.clear()
                     self._kill_pool(pool)
-                    pool = self._rebuild_pool(workers, report)
+                    pool = self._rebuild_pool(workers)
                     continue
                 if self.task_timeout_s is not None and inflight:
                     now = time.monotonic()  # simlint: disable=DET001 -- host-level watchdog clock
@@ -419,14 +377,13 @@ class SupervisedExecutor(Executor):
                                          survivors=survivors)
                         inflight.clear()
                         self._kill_pool(pool)
-                        pool = self._rebuild_pool(workers, report)
+                        pool = self._rebuild_pool(workers)
                         queue.extendleft(reversed(survivors))
                         for index in hung:
                             quarantined = self._record_fault(
                                 index, attempts, TASK_HANG,
                                 f"exceeded the {self.task_timeout_s:g}s "
-                                f"task timeout",
-                                report)
+                                f"task timeout")
                             if quarantined is not None:
                                 yield index, quarantined
                             else:
@@ -439,19 +396,21 @@ class SupervisedExecutor(Executor):
                ) -> Iterator[Tuple[int, Any]]:
         """Collect what the workers already have before shutting down.
 
-        Yields every in-flight result that completes within
-        ``drain_grace_s`` so the consumer can journal it; faults during
-        the drain are simply dropped — the trial reruns on ``--resume``.
-        A second signal aborts the drain immediately.
+        Yields every in-flight result that completes within the task
+        timeout (:data:`_DRAIN_GRACE_S` without one) so the consumer can
+        journal it; faults during the drain are simply dropped — the
+        trial reruns on ``--resume``.  A second signal aborts the drain
+        immediately.
         """
         self.runlog.emit("signal_drain", inflight=len(inflight))
-        deadline = time.monotonic() + self.drain_grace_s  # simlint: disable=DET001 -- host-level drain deadline
+        grace = (self.task_timeout_s if self.task_timeout_s is not None
+                 else _DRAIN_GRACE_S)
+        deadline = time.monotonic() + grace  # simlint: disable=DET001 -- host-level drain deadline
         while inflight and self._signals_seen < 2:
             remaining = deadline - time.monotonic()  # simlint: disable=DET001 -- host-level drain deadline
             if remaining <= 0:
                 break
-            done, _ = wait(set(inflight),
-                           timeout=min(self.poll_interval_s, remaining))
+            done, _ = wait(set(inflight), timeout=min(_POLL_S, remaining))
             for future in done:
                 slot = inflight.pop(future)
                 tag, payload = _settle(future)

@@ -112,11 +112,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cache = cache_from(args)
     executor = get_executor(args.jobs, task_timeout_s=args.task_timeout,
                             max_task_retries=args.max_task_retries)
+    if runlog is not None:
+        executor.runlog = runlog
+    executor.cache = cache
     config = PopulationConfig(sessions=args.sessions, seed=args.seed,
                               n_pages=args.pages, video_s=args.video_s,
                               call_s=args.call_s)
-    runner = FleetRunner(config, executor=executor, runlog=runlog,
-                         cache=cache)
+    runner = FleetRunner(config, executor=executor)
     try:
         report = runner.run()
     except KeyboardInterrupt:

@@ -29,19 +29,12 @@ from repro.cache import (
     TrialKeyer,
     decode_result,
     encode_result,
-    resolve_cache,
 )
-from repro.core.pipeline import (
-    TRIAL_OK,
-    Failure,
-    classify,
-    dispatch,
-    resolve_runlog,
-)
+from repro.core.pipeline import TRIAL_OK, Failure, classify, dispatch
 from repro.core.session import Program, simulate
 from repro.obs.export import histogram_quantile
 from repro.obs.runlog import RUNLOG_VERSION, RunLog
-from repro.parallel import Executor, SerialExecutor, SupervisionReport
+from repro.parallel import Executor, SerialExecutor
 from repro.population.aggregate import ALL_TIER, FleetAggregator
 from repro.population.config import PopulationConfig, SessionSampler, SessionSpec
 from repro.rtc import CallConfig, VideoCall
@@ -146,7 +139,6 @@ class FleetReport:
     config: PopulationConfig
     aggregate: dict
     quarantined: int = 0
-    supervision: Optional[SupervisionReport] = None
 
     @property
     def experiment(self) -> str:
@@ -197,9 +189,9 @@ class FleetRunner:
     """Samples, dispatches, and streams a whole fleet into one aggregate.
 
     Same wiring discipline as :class:`~repro.core.experiments.
-    RobustTrialRunner`: the runlog and cache are taken from the
-    constructor or the executor's attachments; only the parent process
-    touches either.
+    RobustTrialRunner`: the runlog and cache are the constructor's, else
+    the ones the executor carries; only the parent process touches
+    either, and the session task carries neither.
     """
 
     def __init__(self, config: PopulationConfig,
@@ -245,10 +237,11 @@ class FleetRunner:
     def run(self) -> FleetReport:
         """Execute every session; returns the streamed aggregate."""
         config = self.config
-        runlog = resolve_runlog(self.runlog, self.executor)
+        runlog = self.runlog if self.runlog is not None \
+            else self.executor.runlog
         sampler = SessionSampler(config)
         task, keyer = self._keyed_task(
-            resolve_cache(self.cache, self.executor))
+            self.cache if self.cache is not None else self.executor.cache)
         aggregator = FleetAggregator()
         quarantined = 0
         runlog.emit("run_start", experiment=config.experiment,
@@ -281,7 +274,6 @@ class FleetRunner:
             config=config,
             aggregate=aggregator.snapshot(),
             quarantined=quarantined,
-            supervision=getattr(self.executor, "last_supervision", None),
         )
 
 

@@ -135,7 +135,6 @@ class StreamingPlayer:
             result.bytes_downloaded += seg_bytes
             yield self._buffer.put(self.video.segment_s)
             self._m_segments.inc()
-            self._m_buffer.set(self._buffer.level)
             remaining -= 1
         self._download_done = True
 

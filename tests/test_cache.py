@@ -37,13 +37,13 @@ from repro.cache import (
     code_fingerprint,
     encode_result,
     fingerprint_modules,
-    resolve_cache,
     trial_key,
 )
 from repro.cache import keys as cache_keys
+from repro.core.experiments import RobustTrialRunner
 from repro.core.pipeline import cached_map, dispatch
 from repro.device import NEXUS4
-from repro.parallel import SerialExecutor
+from repro.parallel import SerialExecutor, SupervisedExecutor
 
 
 # -- canonicalization -------------------------------------------------------
@@ -112,12 +112,28 @@ def test_arbitrary_objects_are_uncacheable():
         canonicalize(object())
 
 
-def test_infrastructure_is_omitted_not_rejected():
-    executor = SerialExecutor()
-    assert canonicalize(executor) is None
-    assert canonicalize({"executor": executor, "n": 3}) == [
-        "map", [["n", 3]]]
-    assert canonicalize([1, executor, 2]) == ["seq", [1, 2]]
+@dataclass(frozen=True)
+class CarrierTask:
+    """A task that wrongly carries part of the run inside it."""
+
+    inner: object
+
+    def __call__(self, x: int) -> int:
+        return x
+
+
+def test_infrastructure_inside_a_task_is_uncacheable(tmp_path):
+    # The run's executor and cache travel beside a task, never inside it;
+    # one caught inside is an unknown object like any other.
+    cache = TrialCache(tmp_path)
+    for inner in (SerialExecutor(), SupervisedExecutor(2), cache):
+        with pytest.raises(Uncacheable):
+            canonicalize(CarrierTask(inner))
+    # The sweep still runs; it is counted uncacheable and never keyed.
+    assert cached_map(attached(cache), CarrierTask(SerialExecutor()),
+                      [4, 5], experiment="carrier") == [4, 5]
+    assert cache.stats.uncacheable == 1
+    assert cache.stats.lookups == 0 and cache.stats.stores == 0
 
 
 # -- key stability (hypothesis) ---------------------------------------------
@@ -327,15 +343,13 @@ def test_stats_line_format(tmp_path):
                                   "(75% hit ratio)")
 
 
-def test_resolve_cache_prefers_explicit_then_attached(tmp_path):
+def test_runner_cache_beats_the_one_its_executor_carries(tmp_path):
     explicit = TrialCache(tmp_path / "a")
-    attached = TrialCache(tmp_path / "b")
-    executor = SerialExecutor()
-    executor.cache = attached
-    assert resolve_cache(None, executor) is attached
-    assert resolve_cache(explicit, executor) is explicit
-    assert resolve_cache(None, SerialExecutor()) is None
-    assert resolve_cache() is None
+    carried = TrialCache(tmp_path / "b")
+    RobustTrialRunner(trials=3, experiment="explicit", cache=explicit,
+                      executor=attached(carried)).run(module_level_task)
+    assert explicit.stats.stores == 3 and explicit.entry_count() == 3
+    assert carried.stats.lookups == 0 and carried.entry_count() == 0
 
 
 # -- cached_map -------------------------------------------------------------

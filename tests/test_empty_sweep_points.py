@@ -37,7 +37,7 @@ from repro.parallel.chaos import (
 def _quarantine_every_trial() -> ChaosExecutor:
     """Each sweep here dispatches one trial; its result never arrives."""
     plan = ChaosPlan(faults=(ChaosFault(index=0, kind=CHAOS_CORRUPT),))
-    return ChaosExecutor(2, plan, max_task_retries=0, poll_interval_s=0.02)
+    return ChaosExecutor(2, plan, max_task_retries=0)
 
 
 def test_quarantined_points_have_no_sample_and_no_ratio():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.cache import canonicalize
 from repro.core.experiments import derive_seed
 from repro.core import tracing
 from repro.core.tracing import experiments, resolve, run_traced_trial
@@ -208,6 +209,9 @@ def test_every_experiment_resolves_without_running(monkeypatch):
     for name, task, items in layouts:
         assert resolve(name, 0) == (task, derive_seed(name, 0)
                                     if items is None else items[0]), name
+        # Every figure sweep keys its trial cache on this task: one that
+        # stopped canonicalizing would silently run uncached.
+        canonicalize(task)
 
 
 # -- zero overhead when disabled --------------------------------------------

@@ -206,8 +206,7 @@ def chaos_report_data(tmp_path):
     """A real chaos run with a quarantined trial, journaled + runlogged."""
     plan = ChaosPlan(faults=tuple(
         ChaosFault(index=1, kind=CHAOS_CRASH, attempt=a) for a in range(9)))
-    executor = ChaosExecutor(2, plan, max_task_retries=1,
-                             poll_interval_s=0.02)
+    executor = ChaosExecutor(2, plan, max_task_retries=1)
     executor.runlog = RunLog(tmp_path / "run.jsonl")
     runner = RobustTrialRunner(trials=3, experiment="chaos",
                                journal_path=tmp_path / "chaos.json",

@@ -4,7 +4,6 @@ and the same-seed determinism contract."""
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,14 +13,13 @@ from repro.core.experiments import RobustTrialRunner
 from repro.obs.runlog import (
     HOST_EVENTS,
     NULL_RUNLOG,
-    NullRunLog,
     RUNLOG_VERSION,
     RunLog,
     deterministic_bytes,
     deterministic_events,
     read_runlog,
-    runlog_of,
 )
+from repro.parallel import SerialExecutor
 from repro.parallel.chaos import (
     CHAOS_CRASH,
     ChaosExecutor,
@@ -96,21 +94,9 @@ def test_null_runlog_is_inert_and_resolvable():
     NULL_RUNLOG.close()
     with NULL_RUNLOG as runlog:
         assert not runlog.enabled
-    assert runlog_of(object()) is NULL_RUNLOG
-
-    class Carrier:
-        runlog = NULL_RUNLOG
-
-    assert runlog_of(Carrier()) is NULL_RUNLOG
-
-
-def test_runlog_pickles_to_the_null_object(tmp_path):
-    runlog = RunLog(tmp_path / "run.jsonl", listeners=[print])
-    clone = pickle.loads(pickle.dumps(runlog))
-    assert isinstance(clone, NullRunLog)
-    runlog.emit("run_start")  # the original still writes
-    runlog.close()
-    assert read_runlog(tmp_path / "run.jsonl") == [{"event": "run_start"}]
+    # A runner without a runlog of its own resolves to its executor's,
+    # and an executor nobody attached one to carries the null object.
+    assert SerialExecutor().runlog is NULL_RUNLOG
 
 
 def test_read_runlog_tolerates_truncated_tail(tmp_path):
@@ -212,8 +198,6 @@ def test_resumed_run_logs_resumed_and_pending_counts(tmp_path):
 
 
 def test_runlog_resolves_from_executor_attachment(tmp_path):
-    from repro.parallel import SerialExecutor
-
     executor = SerialExecutor()
     executor.runlog = RunLog(tmp_path / "run.jsonl")
     run_robust(tmp_path, "a", executor=executor)
@@ -227,7 +211,7 @@ def test_runlog_resolves_from_executor_attachment(tmp_path):
 
 def test_chaos_crash_emits_dispatch_retry_and_rebuild(tmp_path):
     plan = ChaosPlan(faults=(ChaosFault(index=1, kind=CHAOS_CRASH),))
-    executor = ChaosExecutor(2, plan, poll_interval_s=0.02)
+    executor = ChaosExecutor(2, plan)
     executor.runlog = RunLog(tmp_path / "run.jsonl")
     results = executor.map(seeded_trial, list(range(4)))
     executor.runlog.close()
@@ -247,14 +231,12 @@ def test_chaos_crash_emits_dispatch_retry_and_rebuild(tmp_path):
 
 def test_supervision_totals_accumulate_across_runs():
     plan = ChaosPlan(faults=(ChaosFault(index=0, kind=CHAOS_CRASH),))
-    executor = ChaosExecutor(2, plan, poll_interval_s=0.02)
+    executor = ChaosExecutor(2, plan)
     executor.map(seeded_trial, [0, 1])
-    first_retries = executor.supervision_totals.task_retries
+    first_retries = executor.supervision.task_retries
     assert first_retries >= 1
     executor.map(seeded_trial, [0, 1])  # plan fires again on a fresh run
-    assert executor.supervision_totals.task_retries > first_retries
-    assert executor.last_supervision.task_retries < \
-        executor.supervision_totals.task_retries
+    assert executor.supervision.task_retries > first_retries
 
 
 # -- determinism contract ---------------------------------------------------
@@ -275,7 +257,7 @@ def test_parallel_runlog_matches_serial_after_host_strip_and_sort(tmp_path):
                runlog_name="serial.jsonl")
     run_robust(tmp_path, "pooled", trial_fn=kernel_trial,
                runlog_name="pooled.jsonl",
-               executor=SupervisedExecutor(2, poll_interval_s=0.02))
+               executor=SupervisedExecutor(2))
 
     def sorted_view(name):
         view = deterministic_events(read_runlog(tmp_path / name))

@@ -49,9 +49,7 @@ from repro.parallel.chaos import (
 )
 
 # Pool churn makes these tests inherently slower than unit scale; the
-# budgets below (timeouts, poll intervals) are tuned so a full chaos run
-# stays in the low seconds.
-FAST = dict(poll_interval_s=0.02)
+# timeouts below are tuned so a full chaos run stays in the low seconds.
 
 
 def square(x: int) -> int:
@@ -80,9 +78,9 @@ def poison_plan(index: int, kind: str, attempts: int = 10,
 
 def test_supervised_map_matches_serial_when_healthy():
     items = list(range(16))
-    supervised = SupervisedExecutor(3, **FAST)
+    supervised = SupervisedExecutor(3)
     assert supervised.map(square, items) == [x * x for x in items]
-    assert supervised.last_supervision.clean
+    assert supervised.supervision.clean
 
 
 def test_supervised_always_uses_the_pool():
@@ -90,7 +88,7 @@ def test_supervised_always_uses_the_pool():
     # semantics must not silently change with workload size, so even the
     # smallest run crosses the process boundary (and therefore requires a
     # picklable task).
-    assert SupervisedExecutor(4, **FAST).map(square, [7]) == [49]
+    assert SupervisedExecutor(4).map(square, [7]) == [49]
 
 
 def test_workers_never_finalize_a_pool_inherited_from_the_parent():
@@ -99,8 +97,7 @@ def test_workers_never_finalize_a_pool_inherited_from_the_parent():
     # shutdown lock, which a parent thread may hold at the moment of the
     # fork (here: held on purpose); a worker that collected the copy would
     # block forever, and only the task timeout would end the trial.
-    executor = SupervisedExecutor(1, task_timeout_s=5.0, max_task_retries=0,
-                                  **FAST)
+    executor = SupervisedExecutor(1, task_timeout_s=5.0, max_task_retries=0)
     stale = executor._new_pool(1)
     stale.submit(abs, 0).result()  # starts the thread the finalizer wakes
     lock = stale._shutdown_lock
@@ -123,8 +120,6 @@ def test_supervisor_constructor_validation():
         SupervisedExecutor(2, task_timeout_s=0.0)
     with pytest.raises(ValueError):
         SupervisedExecutor(2, max_task_retries=-1)
-    with pytest.raises(ValueError):
-        SupervisedExecutor(2, poll_interval_s=0.0)
 
 
 # -- crash recovery ---------------------------------------------------------
@@ -134,10 +129,10 @@ def test_pool_rebuild_recovers_worker_crashes():
         ChaosFault(index=1, kind=CHAOS_CRASH),
         ChaosFault(index=6, kind=CHAOS_CRASH),
     ))
-    executor = ChaosExecutor(2, plan, **FAST)
+    executor = ChaosExecutor(2, plan)
     items = list(range(10))
     assert executor.map(square, items) == [x * x for x in items]
-    report = executor.last_supervision
+    report = executor.supervision
     assert report.pool_rebuilds >= 2
     assert report.task_retries >= 2
     assert report.quarantined == []
@@ -148,10 +143,10 @@ def test_completed_cohort_results_survive_a_pool_break():
     # yield their genuine results, not re-run.  With a wide window and
     # one crasher, most of the cohort completes before the break lands.
     plan = ChaosPlan(faults=(ChaosFault(index=0, kind=CHAOS_CRASH),))
-    executor = ChaosExecutor(4, plan, **FAST)
+    executor = ChaosExecutor(4, plan)
     items = list(range(12))
     assert executor.map(square, items) == [x * x for x in items]
-    assert executor.last_supervision.quarantined == []
+    assert executor.supervision.quarantined == []
 
 
 # -- hang timeout -----------------------------------------------------------
@@ -159,14 +154,14 @@ def test_completed_cohort_results_survive_a_pool_break():
 def test_hung_task_is_cancelled_and_reassigned():
     plan = ChaosPlan(faults=(ChaosFault(index=2, kind=CHAOS_HANG,
                                         hang_s=60.0),))
-    executor = ChaosExecutor(2, plan, task_timeout_s=0.4, **FAST)
+    executor = ChaosExecutor(2, plan, task_timeout_s=0.4)
     started = time.monotonic()  # simlint: disable=DET001 -- host-side test stopwatch
     items = list(range(6))
     assert executor.map(square, items) == [x * x for x in items]
     elapsed = time.monotonic() - started  # simlint: disable=DET001 -- host-side test stopwatch
     # The 60s sleep was killed at the ~0.4s budget, not waited out.
     assert elapsed < 30.0
-    report = executor.last_supervision
+    report = executor.supervision
     assert report.pool_rebuilds >= 1
     assert report.quarantined == []
 
@@ -181,7 +176,7 @@ def test_chaos_hang_plan_requires_a_task_timeout():
 
 def test_poison_crash_quarantines_as_worker_crash():
     executor = ChaosExecutor(2, poison_plan(3, CHAOS_CRASH),
-                             max_task_retries=2, **FAST)
+                             max_task_retries=2)
     results = executor.map(square, list(range(6)))
     quarantined = [r for r in results if isinstance(r, QuarantinedTask)]
     assert [q.index for q in quarantined] == [3]
@@ -193,7 +188,7 @@ def test_poison_crash_quarantines_as_worker_crash():
 
 def test_poison_hang_quarantines_as_task_hang():
     executor = ChaosExecutor(2, poison_plan(1, CHAOS_HANG),
-                             task_timeout_s=0.3, max_task_retries=1, **FAST)
+                             task_timeout_s=0.3, max_task_retries=1)
     results = executor.map(square, list(range(4)))
     quarantined = [r for r in results if isinstance(r, QuarantinedTask)]
     assert [q.kind for q in quarantined] == [TASK_HANG]
@@ -203,7 +198,7 @@ def test_poison_hang_quarantines_as_task_hang():
 
 def test_poison_corrupt_quarantines_as_task_error():
     executor = ChaosExecutor(2, poison_plan(2, CHAOS_CORRUPT),
-                             max_task_retries=1, **FAST)
+                             max_task_retries=1)
     results = executor.map(square, list(range(5)))
     quarantined = [r for r in results if isinstance(r, QuarantinedTask)]
     assert [q.kind for q in quarantined] == [TASK_ERROR]
@@ -213,12 +208,12 @@ def test_poison_corrupt_quarantines_as_task_error():
 def test_task_exception_quarantines_instead_of_propagating():
     # Unlike SerialExecutor, a supervised run never dies on a task
     # exception: the failing task retries, then quarantines as TASK_ERROR.
-    executor = SupervisedExecutor(2, max_task_retries=1, **FAST)
+    executor = SupervisedExecutor(2, max_task_retries=1)
     results = executor.map(_explode_on_three, list(range(5)))
     quarantined = [r for r in results if isinstance(r, QuarantinedTask)]
     assert [(q.index, q.kind) for q in quarantined] == [(3, TASK_ERROR)]
     assert "boom on 3" in quarantined[0].error
-    assert executor.last_supervision.task_retries == 1
+    assert executor.supervision.task_retries == 1
 
 
 def _explode_on_three(x: int) -> int:
@@ -269,9 +264,9 @@ def test_chaos_journal_is_byte_identical_to_serial(tmp_path):
         ChaosFault(index=2, kind=CHAOS_CORRUPT),
         ChaosFault(index=4, kind=CHAOS_HANG, hang_s=60.0),
     ))
-    executor = ChaosExecutor(2, plan, task_timeout_s=0.4, **FAST)
+    executor = ChaosExecutor(2, plan, task_timeout_s=0.4)
     chaotic = _robust_run(executor, chaos_journal)
-    assert executor.last_supervision.quarantined == []
+    assert executor.supervision.quarantined == []
     assert chaotic.quarantined == 0
     assert serial_journal.read_bytes() == chaos_journal.read_bytes()
     assert str(serial.summary()) == str(chaotic.summary())
@@ -299,9 +294,9 @@ def test_random_recoverable_chaos_matches_serial(data, trials, workers):
         # casualty of every other cohort member's pool break.
         executor = ChaosExecutor(
             workers, plan, task_timeout_s=0.5,
-            max_task_retries=len(plan.faults) + 1, **FAST)
+            max_task_retries=len(plan.faults) + 1)
         chaotic = _robust_run_n(executor, trials, chaos_journal)
-        assert executor.last_supervision.quarantined == []
+        assert executor.supervision.quarantined == []
         assert serial_journal.read_bytes() == chaos_journal.read_bytes()
         assert str(serial.summary()) == str(chaotic.summary())
 
@@ -323,14 +318,13 @@ def test_runner_classifies_quarantined_trials(tmp_path):
     # poisoned trial still exhausts its attempts (the plan faults every
     # dispatch) while innocents survive the worst-case collateral.
     executor = ChaosExecutor(2, poison_plan(1, CHAOS_CRASH),
-                             max_task_retries=3, **FAST)
+                             max_task_retries=3)
     runner = RobustTrialRunner(trials=4, experiment="qclass",
                                journal_path=journal, executor=executor)
     report = runner.run(seeded_value)
     assert report.quarantined == 1
     assert report.completed == 3
     assert report.failure_counts() == {TRIAL_CRASH: 1}
-    assert report.supervision is executor.last_supervision
     bad = next(r for r in report.records if not r.ok)
     assert bad.trial == 1
     assert "quarantined" in bad.error and "worker_crash" in bad.error
@@ -349,12 +343,12 @@ def test_runner_taxonomy_mapping_for_hang_and_error(tmp_path):
     # The timeout must outlast the healthy trial on a loaded host and
     # still reclaim the poisoned one, which hangs for 60 s.
     hang = ChaosExecutor(2, poison_plan(0, CHAOS_HANG),
-                         task_timeout_s=3.0, max_task_retries=0, **FAST)
+                         task_timeout_s=3.0, max_task_retries=0)
     report = RobustTrialRunner(trials=2, experiment="qmap",
                                executor=hang).run(seeded_value)
     assert report.failure_counts() == {TRIAL_TIMEOUT: 1}
     corrupt = ChaosExecutor(2, poison_plan(0, CHAOS_CORRUPT),
-                            max_task_retries=0, **FAST)
+                            max_task_retries=0)
     report = RobustTrialRunner(trials=2, experiment="qmap",
                                executor=corrupt).run(seeded_value)
     assert report.failure_counts() == {TRIAL_ERROR: 1}
@@ -374,7 +368,7 @@ def test_quarantined_trial_journal_is_byte_identical_across_runs(tmp_path,
         executor = ChaosExecutor(
             2, poison_plan(0, kind),
             task_timeout_s=0.3 if kind == CHAOS_HANG else None,
-            max_task_retries=1, **FAST)
+            max_task_retries=1)
         report = RobustTrialRunner(trials=1, experiment="qjournal",
                                    journal_path=journal,
                                    executor=executor).run(seeded_value)
@@ -388,25 +382,53 @@ def test_quarantined_trial_journal_is_byte_identical_across_runs(tmp_path,
 def test_signal_handlers_are_restored_after_a_run():
     before = (signal.getsignal(signal.SIGINT),
               signal.getsignal(signal.SIGTERM))
-    SupervisedExecutor(2, **FAST).map(square, list(range(4)))
+    SupervisedExecutor(2).map(square, list(range(4)))
     after = (signal.getsignal(signal.SIGINT),
              signal.getsignal(signal.SIGTERM))
     assert before == after
 
 
-def test_drain_signals_false_leaves_handlers_untouched():
-    sentinel = []
-
-    def handler(signum, frame):  # pragma: no cover - never invoked
-        sentinel.append(signum)
-
-    previous = signal.signal(signal.SIGTERM, handler)  # simlint: disable=PAR602 -- asserting the opt-out leaves foreign handlers alone
+def test_kill_pool_ends_a_blocked_worker_that_inherited_the_drain_handler():
+    # Workers are forked while the drain handler is installed, so a
+    # SIGTERM only counts a signal in the worker's copy of the executor;
+    # killing the pool must still end a worker blocked in its task.
+    executor = SupervisedExecutor(1)
+    previous = executor._install_handlers()
+    workers = []
     try:
-        executor = SupervisedExecutor(2, drain_signals=False, **FAST)
-        executor.map(square, list(range(4)))
-        assert signal.getsignal(signal.SIGTERM) is handler
+        pool = executor._new_pool(1)
+        pool.submit(time.sleep, 20)
+        workers = list(pool._processes.values())
+        executor._kill_pool(pool)
+        for worker in workers:
+            for _ in range(60):
+                if _reaped(worker):
+                    break
+                worker.join(0.05)
+        assert workers and all(_reaped(w) for w in workers)
     finally:
-        signal.signal(signal.SIGTERM, previous)  # simlint: disable=PAR602 -- test cleanup restoring the original handler
+        executor._restore_handlers(previous)
+        # A surviving worker would keep the test process from exiting.
+        for worker in workers:
+            if not _reaped(worker):
+                worker.kill()
+                worker.join(3)
+
+
+def _reaped(worker) -> bool:
+    """Whether ``worker`` has exited and been reaped.
+
+    The pool's own thread joins its workers too, and the process object
+    of a worker reaped there can keep reporting no exit code, so a gone
+    pid counts as well.
+    """
+    if worker.exitcode is not None:
+        return True
+    try:
+        os.kill(worker.pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 _SIGINT_DRIVER = """
@@ -424,8 +446,7 @@ def main():
     journal = sys.argv[1]
     runner = RobustTrialRunner(trials=10, experiment="sigdrain",
                                journal_path=journal,
-                               executor=SupervisedExecutor(
-                                   2, poll_interval_s=0.02))
+                               executor=SupervisedExecutor(2))
     # Deliver SIGINT to ourselves once the run is mid-flight.
     pid = os.fork()
     if pid == 0:

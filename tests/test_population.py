@@ -262,7 +262,7 @@ def test_fleet_runner_chaos_crash_retry_is_byte_identical():
     # recomputes the same pure function of its index.
     serial = FleetRunner(small_config()).run().to_json()
     plan = ChaosPlan(faults=(ChaosFault(index=1, kind=CHAOS_CRASH),))
-    executor = ChaosExecutor(2, plan, poll_interval_s=0.02)
+    executor = ChaosExecutor(2, plan)
     chaotic = FleetRunner(small_config(), executor=executor).run()
     assert chaotic.quarantined == 0
     assert chaotic.to_json() == serial
@@ -275,10 +275,10 @@ def test_fleet_runner_quarantine_keeps_accounting_complete():
     # burn retries as collateral — the count is >= 1, not == 1.)
     plan = ChaosPlan(faults=tuple(
         ChaosFault(index=2, kind=CHAOS_CRASH, attempt=a) for a in range(10)))
-    executor = ChaosExecutor(2, plan, poll_interval_s=0.02)
+    executor = ChaosExecutor(2, plan)
     report = FleetRunner(small_config(), executor=executor).run()
     assert report.quarantined >= 1
-    assert any(q.index == 2 for q in report.supervision.quarantined)
+    assert any(q.index == 2 for q in executor.supervision.quarantined)
     assert report.sessions == SMALL["sessions"]
     assert report.completed + sum(report.failures.values()) == report.sessions
     assert sum(report.aggregate["mix"]["tiers"].values()) == report.sessions
