@@ -1,10 +1,11 @@
 """Golden output digests: "same behaviour" checked mechanically.
 
 Each case pins the SHA-256 of one deterministic output — a figure
-command's stdout, the population aggregate JSON at a small fixed
-config, or a traced trial's exported Chrome trace and merged metrics —
-in ``tests/golden/digests.json``.  A refactor or optimization that claims
-to change no behaviour must leave every digest alone.
+command's or the fleet report's stdout, the population aggregate JSON
+at a small fixed config, or a traced trial's exported Chrome trace and
+merged metrics — in ``tests/golden/digests.json``.  A refactor or
+optimization that claims to change no behaviour must leave every digest
+alone.
 
 The file is regenerated only on purpose::
 
@@ -28,7 +29,7 @@ from repro.population import FleetRunner, PopulationConfig
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
-#: Figure commands pinned by their stdout (small, fixed scale).
+#: CLI commands pinned by their stdout (small, fixed scale).
 CLI_CASES = {
     "fig1": ["fig1", "--pages", "4"],
     "fig2": ["fig2", "--trials", "1", "--pages", "1", "--media-s", "10"],
@@ -40,6 +41,7 @@ CLI_CASES = {
     "fig7": ["fig7", "--trials", "1", "--pages", "1"],
     "joint": ["joint", "--pages", "1"],
     "faults": ["faults", "--trials", "1", "--pages", "2", "--media-s", "10"],
+    "population": ["population", "--sessions", "30", "--seed", "1"],
 }
 
 #: Traced trials pinned by their export: case -> experiment (trial 0).
