@@ -6,7 +6,9 @@ of sweep progress, and a single hung task stalls the run forever.
 :class:`SupervisedExecutor` wraps the pool in a supervision loop that
 
 * **rebuilds a broken pool** and re-dispatches only the unfinished task
-  indices (completed results are never re-run);
+  indices (completed results are never re-run); a crash is charged only
+  to the task that caused it — the casualties of a shared break re-run
+  alone first;
 * **enforces a per-task wall-clock budget** (``task_timeout_s``) — a
   hung task's pool is killed and every casualty is reassigned to a
   fresh pool;
@@ -46,7 +48,13 @@ import gc
 import signal
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -117,6 +125,7 @@ class _InFlight:
 
     index: int
     deadline: Optional[float]
+    solo: bool  #: re-running alone after an unattributed pool break
 
 
 class SupervisedExecutor(Executor):
@@ -215,25 +224,22 @@ class SupervisedExecutor(Executor):
 
     # -- fault accounting --------------------------------------------------
 
-    def _record_fault(self, index: int, attempts: List[int], kind: str,
-                      error: str) -> Optional[QuarantinedTask]:
-        """Count one faulted dispatch; quarantine when the budget is spent.
-
-        Returns the :class:`QuarantinedTask` to yield, or ``None`` when
-        the task has retries left (caller re-queues it).
-        """
+    def _charge(self, index: int, attempts: List[int], queue: Deque[int],
+                kind: str, error: str) -> Iterator[Tuple[int, Any]]:
+        """Count one faulted dispatch: re-queue the task while it has
+        retries left, else yield its :class:`QuarantinedTask`."""
         attempts[index] += 1
-        if attempts[index] > self.max_task_retries:
-            quarantined = QuarantinedTask(index=index, kind=kind,
-                                          attempts=attempts[index],
-                                          error=error)
-            self.supervision.quarantined.append(quarantined)
-            self.runlog.emit("quarantine", index=index, kind=kind,
-                             attempts=attempts[index], error=error)
-            return quarantined
-        self.supervision.task_retries += 1
-        self.runlog.emit("task_retry", index=index, kind=kind, error=error)
-        return None
+        if attempts[index] <= self.max_task_retries:
+            self.supervision.task_retries += 1
+            self.runlog.emit("task_retry", index=index, kind=kind, error=error)
+            queue.append(index)
+            return
+        quarantined = QuarantinedTask(index=index, kind=kind,
+                                      attempts=attempts[index], error=error)
+        self.supervision.quarantined.append(quarantined)
+        self.runlog.emit("quarantine", index=index, kind=kind,
+                         attempts=attempts[index], error=error)
+        yield index, quarantined
 
     # -- signal plumbing ---------------------------------------------------
 
@@ -276,6 +282,7 @@ class SupervisedExecutor(Executor):
         queue: Deque[int] = deque(range(len(work)))
         attempts: List[int] = [0] * len(work)
         inflight: Dict[Future, _InFlight] = {}
+        solo_left = 0  #: next dispatches that must run alone
         previous_handlers = self._install_handlers()
         pool = self._new_pool(workers)
         try:
@@ -287,8 +294,12 @@ class SupervisedExecutor(Executor):
                         "rerun with --resume to continue"
                     )
                 broken = False
-                # Fill the dispatch window (one in-flight task per worker).
-                while queue and len(inflight) < workers and not broken:
+                # Fill the dispatch window: one in-flight task per worker,
+                # but one task at all while the casualties of an
+                # unattributed pool break re-run alone.
+                window = 1 if solo_left or any(
+                    slot.solo for slot in inflight.values()) else workers
+                while queue and len(inflight) < window and not broken:
                     index = queue.popleft()
                     try:
                         future = self._submit(pool, fn, work[index], index,
@@ -307,39 +318,37 @@ class SupervisedExecutor(Executor):
                         else time.monotonic() + self.task_timeout_s  # simlint: disable=DET001 -- host-level watchdog deadline
                     )
                     inflight[future] = _InFlight(index=index,
-                                                 deadline=deadline)
+                                                 deadline=deadline,
+                                                 solo=solo_left > 0)
+                    solo_left = max(solo_left - 1, 0)
                     self.runlog.emit("task_dispatch", index=index,
                                      attempt=attempts[index])
                 if not broken and inflight:
-                    done, _ = wait(set(inflight), timeout=_POLL_S)
+                    # Wake on the first finished task so a free worker is
+                    # refilled at once; the timeout only paces watchdogs.
+                    done, _ = wait(set(inflight), timeout=_POLL_S,
+                                   return_when=FIRST_COMPLETED)
                     for future in done:
-                        slot = inflight.pop(future)
                         tag, payload = _settle(future)
+                        if tag == "pool":
+                            broken = True  # settled with its cohort below
+                            continue
+                        slot = inflight.pop(future)
                         if tag == "ok":
                             self.runlog.emit("task_complete",
                                              index=slot.index)
                             yield slot.index, payload
-                        elif tag == "error":
-                            quarantined = self._record_fault(
-                                slot.index, attempts, TASK_ERROR, payload)
-                            if quarantined is not None:
-                                yield slot.index, quarantined
-                            else:
-                                queue.append(slot.index)
-                        else:  # pool failure
-                            broken = True
-                            quarantined = self._record_fault(
-                                slot.index, attempts, WORKER_CRASH, payload)
-                            if quarantined is not None:
-                                yield slot.index, quarantined
-                            else:
-                                queue.append(slot.index)
+                            continue
+                        yield from self._charge(
+                            slot.index, attempts, queue, TASK_ERROR, payload)
                 if broken:
                     # The pool died. Completed cohort members keep their
-                    # results; everything else re-dispatches against a
-                    # fresh pool with one fault charged (the culprit is
-                    # unattributable, so the whole cohort pays — the
-                    # one-per-worker window bounds the collateral).
+                    # results and an error is its own task's fault.  A
+                    # lone casualty is the culprit and pays one faulted
+                    # dispatch; several cannot be told apart, so none pays
+                    # and each re-runs alone first, where a crash names
+                    # its culprit.
+                    casualties: List[Tuple[int, str]] = []
                     for future, slot in sorted(inflight.items(),
                                                key=lambda kv: kv[1].index):
                         tag, payload = _settle(future)
@@ -347,14 +356,20 @@ class SupervisedExecutor(Executor):
                             self.runlog.emit("task_complete",
                                              index=slot.index)
                             yield slot.index, payload
-                            continue
-                        kind = TASK_ERROR if tag == "error" else WORKER_CRASH
-                        quarantined = self._record_fault(
-                            slot.index, attempts, kind, payload)
-                        if quarantined is not None:
-                            yield slot.index, quarantined
+                        elif tag == "pool":
+                            casualties.append((slot.index, payload))
                         else:
-                            queue.append(slot.index)
+                            yield from self._charge(
+                                slot.index, attempts, queue, TASK_ERROR,
+                                payload)
+                    if len(casualties) == 1:
+                        index, payload = casualties[0]
+                        yield from self._charge(
+                            index, attempts, queue, WORKER_CRASH, payload)
+                    else:
+                        queue.extendleft(index for index, _ in
+                                         reversed(casualties))
+                        solo_left = len(casualties)
                     inflight.clear()
                     self._kill_pool(pool)
                     pool = self._rebuild_pool(workers)
@@ -380,14 +395,10 @@ class SupervisedExecutor(Executor):
                         pool = self._rebuild_pool(workers)
                         queue.extendleft(reversed(survivors))
                         for index in hung:
-                            quarantined = self._record_fault(
-                                index, attempts, TASK_HANG,
+                            yield from self._charge(
+                                index, attempts, queue, TASK_HANG,
                                 f"exceeded the {self.task_timeout_s:g}s "
                                 f"task timeout")
-                            if quarantined is not None:
-                                yield index, quarantined
-                            else:
-                                queue.append(index)
         finally:
             self._restore_handlers(previous_handlers)
             self._kill_pool(pool)

@@ -31,6 +31,7 @@ from repro.core.experiments import (
     TRIAL_ERROR,
     TRIAL_TIMEOUT,
 )
+from repro.obs.runlog import RunLog
 from repro.parallel import (
     QuarantinedTask,
     SerialExecutor,
@@ -60,6 +61,11 @@ def seeded_value(seed: int) -> float:
     return make_rng(seed).uniform(1.0, 2.0)
 
 
+def sleep_for(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
+
+
 def collect_garbage(x: int) -> int:
     gc.collect()
     return x
@@ -81,6 +87,20 @@ def test_supervised_map_matches_serial_when_healthy():
     supervised = SupervisedExecutor(3)
     assert supervised.map(square, items) == [x * x for x in items]
     assert supervised.supervision.clean
+
+
+def test_free_worker_is_refilled_while_a_long_task_runs():
+    # One worker holds a 1 s task; the other must take each short task
+    # the moment it frees, not once per poll interval (that pace fits
+    # only ~20 of the forty 1 ms tasks into the long one's second).
+    finished = []
+    executor = SupervisedExecutor(2)
+    executor.runlog = RunLog(listeners=[
+        lambda event: finished.append(event["index"])
+        if event["event"] == "task_complete" else None])
+    work = [1.0] + [0.001] * 40
+    assert executor.map(sleep_for, work) == work
+    assert finished.index(0) == 40, finished
 
 
 def test_supervised_always_uses_the_pool():
@@ -182,6 +202,7 @@ def test_poison_crash_quarantines_as_worker_crash():
     assert [q.index for q in quarantined] == [3]
     assert quarantined[0].kind == WORKER_CRASH
     assert quarantined[0].attempts == 3  # initial dispatch + 2 retries
+    assert executor.supervision.task_retries == 2  # no sibling was charged
     assert [r for r in results if not isinstance(r, QuarantinedTask)] == [
         x * x for x in range(6) if x != 3]
 
