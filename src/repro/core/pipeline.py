@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache import MISS, TrialKeyer
-from repro.obs.runlog import AnyRunLog, NULL_RUNLOG
+from repro.obs.runlog import AnyRunLog, NULL_RUNLOG, RUNLOG_VERSION
 from repro.parallel import (Executor, ParallelExecutionError, QuarantinedTask,
                             TASK_HANG, WORKER_CRASH)
 from repro.sim import Interrupt, SimDeadlock, StepBudgetExceeded
@@ -163,12 +163,28 @@ def cached_map(executor: Executor, task: Callable[[Any], Any],
 
     The fold of the figure sweeps: a point summarizes the trials that
     survived (smaller n), the same degradation sim-level failures get.
-    The cache and runlog are the ones the executor carries.
+    The cache and runlog are the ones the executor carries; the runlog
+    gets the runners' ``run_start`` / ``trial_complete`` / ``run_end``.
     """
+    runlog = executor.runlog
     keyer = TrialKeyer.create(executor.cache, task, experiment=experiment)
-    return [result for _, result, _ in dispatch(
-        executor, task, items, keyer=keyer, runlog=executor.runlog)
-        if not isinstance(result, Failure)]
+    runlog.emit("run_start", experiment=experiment, trials=len(items),
+                pending=len(items), resumed=0,
+                runlog_version=RUNLOG_VERSION,
+                config={"jobs": executor.jobs})
+    results = []
+    for index, result, _ in dispatch(executor, task, items, keyer=keyer,
+                                     runlog=runlog):
+        if isinstance(result, Failure):
+            runlog.emit("trial_complete", trial=index, status=result.status,
+                        error=result.error[:200])
+        else:
+            results.append(result)
+            runlog.emit("trial_complete", trial=index, status=TRIAL_OK)
+    failures = len(items) - len(results)
+    runlog.emit("run_end", completed=len(results), failures=failures,
+                quarantined=failures)
+    return results
 
 
 __all__ = [

@@ -5,21 +5,24 @@ Where the :class:`~repro.obs.tracer.Tracer` records what happened inside
 the host-level facts the journal deliberately omits: when each trial
 finished and how long it took on the wall clock, how often the worker
 pool broke, which tasks hung or were quarantined, whether a SIGINT drain
-cut the sweep short.  ``RobustTrialRunner`` and ``SupervisedExecutor``
-emit into one :class:`RunLog`, the one the executor carries
-(``executor.runlog``); tasks never hold it, so it is never pickled into
-a worker.  The same event stream feeds the live
+cut the sweep short.  The trial runners (``RobustTrialRunner``,
+``FleetRunner``), the figure sweeps (``repro.core.pipeline.cached_map``)
+and ``SupervisedExecutor`` emit into one :class:`RunLog`, the one the
+executor carries (``executor.runlog``); tasks never hold it, so it is
+never pickled into a worker.  The same event stream feeds the live
 ``--progress`` renderer (:mod:`repro.obs.progress`) and the post-hoc
 ``python -m repro report`` view (:mod:`repro.obs.report`).
 
 Schema (``RUNLOG_VERSION`` 1) — one JSON object per line, sorted keys,
 an ``event`` field naming the shape:
 
-* deterministic events, emitted by the trial runners:
+* deterministic events, emitted by the trial runners and the figure
+  sweeps (one ``run_start`` ... ``run_end`` per sweep map):
 
   - ``run_start`` — experiment, trials, pending, resumed, ``config``
     (jobs, max_attempts), ``runlog_version``;
-  - ``trial_complete`` — trial, status, attempts, value, steps, error;
+  - ``trial_complete`` — trial, status, and what the emitter knows of
+    it (attempts, value, steps, error for a journaled trial);
   - ``run_end`` — completed, failures, quarantined.
 
 * host events (:data:`HOST_EVENTS`), emitted by the supervisor:

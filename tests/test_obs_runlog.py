@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.core.background import make_rng
 from repro.core.experiments import RobustTrialRunner
 from repro.obs.runlog import (
@@ -205,6 +206,19 @@ def test_runlog_resolves_from_executor_attachment(tmp_path):
     events = read_runlog(tmp_path / "run.jsonl")
     assert [e["event"] for e in events][:2] == ["run_start",
                                                 "trial_complete"]
+
+
+def test_figure_sweep_records_its_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    path = tmp_path / "fig6.jsonl"
+    assert main(["fig6", "--media-s", "50", "--runlog", str(path)]) == 0
+    capsys.readouterr()
+    events = read_runlog(path)
+    assert events[0]["event"] == "run_start"
+    assert events[0]["experiment"] == "fig6"
+    assert sum(e["event"] == "trial_complete" for e in events) == 12
+    assert events[-1] == {"event": "run_end", "completed": 12,
+                          "failures": 0, "quarantined": 0}
 
 
 # -- supervisor emission ----------------------------------------------------
