@@ -18,7 +18,7 @@ Public API:
   constructed by ``FaultPlan.install`` rather than directly.
 
 Determinism: every injector draws only from the seeded RNG stream handed
-to it (simlint rule FLT401 rejects anything else), so the same
+to it (``rng`` is a required argument), so the same
 ``(experiment, trial, FaultPlan)`` produces a byte-identical
 ``FaultTrace`` and identical QoE metrics.
 """

@@ -266,10 +266,9 @@ class FaultPlan:
     ) -> FaultTrace:
         """Bind every spec to ``env``, returning the shared fault trace.
 
-        ``rng`` must be an explicitly seeded stream (``make_rng(seed)``) —
-        simlint rule FLT401 enforces this at call sites.  Specs that need a
-        target (``link``/``device``/``processes``) raise ``ValueError``
-        when it was not provided.
+        ``rng`` must be an explicitly seeded stream (``make_rng(seed)``).
+        Specs that need a target (``link``/``device``/``processes``) raise
+        ``ValueError`` when it was not provided.
         """
         # Imported here to keep plan.py free of injector-module cycles.
         from repro.faults.device import MemoryPressureInjector, ThermalThrottleInjector

@@ -135,7 +135,6 @@ def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:
     return _walk_function_body(func)
 
 
-from repro.lint.rules.catalog import CatalogSchemaRule  # noqa: E402
 from repro.lint.rules.determinism import (  # noqa: E402
     IdOrderingRule,
     SetIterationRule,
@@ -143,7 +142,6 @@ from repro.lint.rules.determinism import (  # noqa: E402
     UnseededRandomRule,
     WallClockRule,
 )
-from repro.lint.rules.faults import SeededFaultInjectionRule  # noqa: E402
 from repro.lint.rules.ownership import OWNERSHIP_RULES  # noqa: E402
 from repro.lint.rules.simapi import (  # noqa: E402
     BlockingCallRule,
@@ -163,8 +161,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     BlockingCallRule(),
     KernelStateMutationRule(),
     MixedUnitArithmeticRule(),
-    CatalogSchemaRule(),
-    SeededFaultInjectionRule(),
     *OWNERSHIP_RULES,
 )
 

@@ -78,5 +78,14 @@ def test_by_name_unknown():
 
 
 def test_display_heights_cap_video_formats():
-    assert by_name("Intex Amaze+").display_height == 720
-    assert PIXEL2.display_height == 1080
+    expected = {
+        "Intex Amaze+": 720,
+        "Gionee F103": 720,
+        "Google Nexus4": 768,
+        "SG S2-Tab": 1080,
+        "Google Pixel C": 1080,
+        "SG S6-edge": 1440,
+        "Google Pixel2": 1080,
+    }
+    assert {spec.name: spec.display_height
+            for spec in TABLE1_DEVICES} == expected

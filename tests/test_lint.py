@@ -81,19 +81,6 @@ FLAGGED = {
         def budget(rtt_ms, timeout_s):
             return rtt_ms + timeout_s
         """,
-    "CAT301": """
-        from repro.device.catalog import DeviceSpec
-
-        ROW = DeviceSpec(
-            name="Phone",
-            soc="SoC",
-            clusters=(),
-            memory_gb=500.0,
-            os_version="6.0",
-            gpu="Mali",
-            cost_usd=700,
-        )
-        """,
     "OBS502": """
         def log_event(out_dir, line):
             (out_dir / "run.jsonl").write_text(line)
@@ -163,20 +150,6 @@ CLEAN = {
         def budget(rtt_ms, timeout_s):
             return rtt_ms / 1000.0 + timeout_s
         """,
-    "CAT301": """
-        from repro.device.catalog import DeviceSpec
-
-        ROW = DeviceSpec(
-            name="Phone",
-            soc="SoC",
-            clusters=(),
-            memory_gb=2.0,
-            os_version="6.0",
-            gpu="Mali",
-            release="Jan 2017",
-            cost_usd=700,
-        )
-        """,
     "OBS502": """
         from repro.obs.runlog import RunLog, read_runlog
 
@@ -213,8 +186,8 @@ CLEAN = {
         """,
 }
 
-# DET005 and FLT401 are path/import-scoped; exercised separately below.
-_PATH_SCOPED = {"DET005", "FLT401"}
+# DET005 is path-scoped; exercised separately below.
+_PATH_SCOPED = {"DET005"}
 
 #: Where a fixture is linted, for rules that apply only inside a package.
 _FIXTURE_NAME = {"SES901": "repro/web/fake.py"}
@@ -340,66 +313,6 @@ def test_csh801_ignores_other_json_files(tmp_path):
             (path / "results.json").write_text(payload)
         """
     assert lint_source(tmp_path, source, select=["CSH801"]).findings == []
-
-
-def test_flt401_flags_injector_without_rng_in_faults_package(tmp_path):
-    source = """
-        def install_all(env, link, spec, trace):
-            GilbertElliottLossInjector(env, link, spec, trace=trace)
-        """
-    report = lint_source(tmp_path, source, select=["FLT401"],
-                         name="repro/faults/custom.py")
-    assert rule_ids(report) == ["FLT401"]
-
-
-def test_flt401_scopes_by_import_of_repro_faults(tmp_path):
-    source = """
-        from repro.faults import FaultPlan
-
-        def degrade(env, plan, link):
-            plan.install(env, link=link)
-        """
-    report = lint_source(tmp_path, source, select=["FLT401"],
-                         name="app/study.py")
-    assert rule_ids(report) == ["FLT401"]
-    # Same shapes without the import are out of scope: `.install` and
-    # `*Injector` are common-enough names elsewhere.
-    unrelated = """
-        def setup(pkg, env, link):
-            pkg.install(env, link=link)
-        """
-    clean = lint_source(tmp_path, unrelated, select=["FLT401"],
-                        name="app/other.py")
-    assert clean.findings == []
-
-
-def test_flt401_rejects_none_and_unseeded_rng_values(tmp_path):
-    source = """
-        from repro.faults import CrashInjector
-        import random
-
-        def bad(env, procs, spec, trace):
-            CrashInjector(env, procs, spec, rng=None, trace=trace)
-            CrashInjector(env, procs, spec, rng=random.Random(), trace=trace)
-        """
-    report = lint_source(tmp_path, source, select=["FLT401"],
-                         name="app/crashy.py")
-    assert len(report.findings) == 2
-    assert rule_ids(report) == ["FLT401"]
-
-
-def test_flt401_accepts_seeded_streams(tmp_path):
-    source = """
-        from repro.faults import FaultPlan, spawn_rng
-        from repro.core.background import make_rng
-
-        def degrade(env, plan, link, seed, parent):
-            plan.install(env, rng=make_rng(seed), link=link)
-            plan.install(env, rng=spawn_rng(parent), link=link)
-        """
-    report = lint_source(tmp_path, source, select=["FLT401"],
-                         name="app/study.py")
-    assert report.findings == []
 
 
 def test_par601_flags_os_fork(tmp_path):
