@@ -18,20 +18,21 @@ as v1.  Rows are handled as plain dicts on purpose: the report must be
 able to read journals written by *older* code than itself, so it depends
 on the file schema, not on :class:`repro.core.experiments.TrialRecord`.
 
-The HTML renderer emits a single file with inline CSS and no external
-references, so a CI artifact opens anywhere.
+The report is built once as a list of :mod:`repro.obs.document` blocks;
+the text and HTML formats are that module's two writers.
 """
 
 from __future__ import annotations
 
 import argparse
-import html as html_escape
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.obs.document import (Block, Heading, Line, Table, Title,
+                                write_html, write_text)
 from repro.obs.runlog import RUNLOG_NAME, Event, read_runlog
 
 #: Host events worth a timeline row (dispatch/complete are summarized).
@@ -230,7 +231,11 @@ def _slowest(journal: JournalView,
     return "steps", stepped[:top_k]
 
 
-# -- text renderer -----------------------------------------------------------
+# -- the document -----------------------------------------------------------
+
+_TRIAL_HEADERS = ["trial", "seed", "status", "attempts", "value", "steps",
+                  "error"]
+
 
 def _trial_rows(journal: JournalView) -> List[List[str]]:
     rows = []
@@ -248,173 +253,73 @@ def _trial_rows(journal: JournalView) -> List[List[str]]:
     return rows
 
 
-_TRIAL_HEADERS = ["trial", "seed", "status", "attempts", "value", "steps",
-                  "error"]
+def _journal_blocks(journal: JournalView,
+                    walls: Dict[str, Dict[int, float]],
+                    top_k: int) -> List[Block]:
+    taxonomy = journal.taxonomy()
+    breakdown = (" (" + ", ".join(f"{k}={v}" for k, v in taxonomy.items())
+                 + ")") if taxonomy else ""
+    rows = _trial_rows(journal)
+    blocks: List[Block] = [
+        Heading(f"experiment {journal.experiment} "
+                f"(journal v{journal.version}, {journal.trials} trials)"),
+        Line(f"outcomes: {journal.completed} ok, "
+             f"{journal.failures} failed{breakdown}"),
+        Table(_TRIAL_HEADERS, rows, flagged=frozenset(
+            i for i, row in enumerate(rows) if row[2] != "ok")),
+    ]
+    unit, slowest = _slowest(journal, walls, top_k)
+    if slowest:
+        blocks.append(Line("slowest: " + ", ".join(
+            f"trial {trial} ({value:.3f} {unit})" if unit == "wall_s"
+            else f"trial {trial} ({int(value)} {unit})"
+            for trial, value in slowest)))
+    return blocks
+
+
+def _supervision_blocks(events: Sequence[Event]) -> List[Block]:
+    if not events:
+        return [Line("supervision: no runlog found "
+                     "(run with --journal to record one)")]
+    timeline = supervision_timeline(events)
+    counts = dispatch_counts(events)
+    blocks: List[Block] = [
+        Line(f"supervision: {counts['task_dispatch']} dispatches, "
+             f"{counts['task_complete']} completions, "
+             f"{quarantined_count(events)} quarantined, "
+             f"{len(timeline)} notable events"),
+    ]
+    if timeline:
+        blocks.append(Table(["experiment", "event"], timeline))
+    cached = cache_line(cache_counts(events))
+    if cached is not None:
+        blocks.append(Line(f"result cache: {cached}"))
+    return blocks
+
+
+def _blocks(data: ReportData, top_k: int) -> List[Block]:
+    """The run report as document blocks, in reading order."""
+    walls = host_wall_by_trial(data.events)
+    runlog = str(data.runlog_path) if data.runlog_path else "(none)"
+    taxonomy = ", ".join(f"{k}={v}" for k, v in data.taxonomy().items())
+    blocks: List[Block] = [
+        Title("run report"),
+        Line(f"sources: {len(data.journals)} journal(s), runlog: {runlog}"),
+        Line("failure taxonomy: "
+             + (taxonomy or "clean (no failed trials)")),
+    ]
+    for journal in data.journals:
+        blocks += _journal_blocks(journal, walls, top_k)
+    blocks.append(Heading("supervision timeline"))
+    return blocks + _supervision_blocks(data.events)
 
 
 def render_text(data: ReportData, top_k: int = 3) -> str:
-    walls = host_wall_by_trial(data.events)
-    lines: List[str] = ["run report", "=========="]
-    runlog = str(data.runlog_path) if data.runlog_path else "(none)"
-    lines.append(f"sources: {len(data.journals)} journal(s), "
-                 f"runlog: {runlog}")
-    for journal in data.journals:
-        lines.append("")
-        lines.append(f"experiment {journal.experiment} "
-                     f"(journal v{journal.version}, "
-                     f"{journal.trials} trials)")
-        taxonomy = journal.taxonomy()
-        breakdown = (" (" + ", ".join(f"{k}={v}" for k, v in taxonomy.items())
-                     + ")") if taxonomy else ""
-        lines.append(f"  outcomes: {journal.completed} ok, "
-                     f"{journal.failures} failed{breakdown}")
-        widths = [max(len(h), *(len(r[i]) for r in _trial_rows(journal)))
-                  if journal.records else len(h)
-                  for i, h in enumerate(_TRIAL_HEADERS)]
-        lines.append("  " + "  ".join(
-            h.ljust(w) for h, w in zip(_TRIAL_HEADERS, widths)))
-        for row in _trial_rows(journal):
-            lines.append("  " + "  ".join(
-                cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        unit, slowest = _slowest(journal, walls, top_k)
-        if slowest:
-            rendered = ", ".join(
-                f"trial {trial} ({value:.3f} {unit})" if unit == "wall_s"
-                else f"trial {trial} ({int(value)} {unit})"
-                for trial, value in slowest)
-            lines.append(f"  slowest: {rendered}")
-    taxonomy = data.taxonomy()
-    lines.append("")
-    if taxonomy:
-        lines.append("failure taxonomy: " + ", ".join(
-            f"{k}={v}" for k, v in taxonomy.items()))
-    else:
-        lines.append("failure taxonomy: clean (no failed trials)")
-    timeline = supervision_timeline(data.events)
-    counts = dispatch_counts(data.events)
-    if data.events:
-        lines.append(f"supervision: {counts['task_dispatch']} dispatches, "
-                     f"{counts['task_complete']} completions, "
-                     f"{quarantined_count(data.events)} quarantined, "
-                     f"{len(timeline)} notable events")
-        for experiment, description in timeline:
-            prefix = f"  [{experiment}] " if experiment else "  "
-            lines.append(prefix + description)
-        cached = cache_line(cache_counts(data.events))
-        if cached is not None:
-            lines.append(f"result cache: {cached}")
-    else:
-        lines.append("supervision: no runlog found "
-                     "(run with --journal to record one)")
-    return "\n".join(lines) + "\n"
-
-
-# -- HTML renderer -----------------------------------------------------------
-
-_CSS = """
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2rem auto;
-       max-width: 64rem; color: #1a1a1a; }
-h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 1.6rem; }
-table { border-collapse: collapse; margin: .5rem 0; width: 100%; }
-th, td { border: 1px solid #d0d0d0; padding: .25rem .5rem;
-         text-align: left; font-variant-numeric: tabular-nums; }
-th { background: #f2f2f2; }
-.ok { color: #166534; } .bad { color: #991b1b; font-weight: 600; }
-.meta { color: #666; font-size: .85rem; }
-code { background: #f5f5f5; padding: 0 .2rem; }
-""".strip()
-
-
-def _esc(value: Any) -> str:
-    return html_escape.escape(str(value))
-
-
-def escape(value: Any) -> str:
-    """HTML-escape any value (public alias used by other renderers)."""
-    return _esc(value)
-
-
-def html_page(title: str, parts: Sequence[str]) -> str:
-    """Assemble a self-contained HTML document around rendered body parts.
-
-    One inline stylesheet, no external references — the convention every
-    repro HTML artifact follows so a CI artifact opens anywhere.
-    """
-    head = [
-        "<!DOCTYPE html>",
-        "<html lang=\"en\"><head><meta charset=\"utf-8\">",
-        f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{_esc(title)}</h1>",
-    ]
-    return "\n".join([*head, *parts, "</body></html>"]) + "\n"
+    return write_text(_blocks(data, top_k))
 
 
 def render_html(data: ReportData, top_k: int = 3) -> str:
-    walls = host_wall_by_trial(data.events)
-    parts: List[str] = [
-        f"<p class=\"meta\">sources: {len(data.journals)} journal(s), "
-        f"runlog: {_esc(data.runlog_path) if data.runlog_path else '(none)'}"
-        f"</p>",
-    ]
-    for journal in data.journals:
-        parts.append(f"<h2>{_esc(journal.experiment)} "
-                     f"<span class=\"meta\">(journal v{journal.version}, "
-                     f"{journal.trials} trials)</span></h2>")
-        taxonomy = journal.taxonomy()
-        breakdown = (" — " + ", ".join(f"{_esc(k)}={v}"
-                                       for k, v in taxonomy.items())
-                     ) if taxonomy else ""
-        parts.append(f"<p><span class=\"ok\">{journal.completed} ok</span>, "
-                     f"<span class=\"{'bad' if journal.failures else 'ok'}\">"
-                     f"{journal.failures} failed</span>{breakdown}</p>")
-        parts.append("<table><tr>" + "".join(
-            f"<th>{h}</th>" for h in _TRIAL_HEADERS) + "</tr>")
-        for row in _trial_rows(journal):
-            status_class = "ok" if row[2] == "ok" else "bad"
-            cells = "".join(
-                f"<td class=\"{status_class}\">{_esc(cell)}</td>"
-                if i == 2 else f"<td>{_esc(cell)}</td>"
-                for i, cell in enumerate(row))
-            parts.append(f"<tr>{cells}</tr>")
-        parts.append("</table>")
-        unit, slowest = _slowest(journal, walls, top_k)
-        if slowest:
-            rendered = ", ".join(
-                f"trial {trial} ({value:.3f} {unit})" if unit == "wall_s"
-                else f"trial {trial} ({int(value)} {unit})"
-                for trial, value in slowest)
-            parts.append(f"<p class=\"meta\">slowest: {_esc(rendered)}</p>")
-    taxonomy = data.taxonomy()
-    parts.append("<h2>failure taxonomy</h2>")
-    if taxonomy:
-        parts.append("<p>" + ", ".join(
-            f"<code>{_esc(k)}</code>={v}" for k, v in taxonomy.items())
-            + "</p>")
-    else:
-        parts.append("<p class=\"ok\">clean — no failed trials</p>")
-    parts.append("<h2>supervision timeline</h2>")
-    timeline = supervision_timeline(data.events)
-    if data.events:
-        counts = dispatch_counts(data.events)
-        parts.append(f"<p class=\"meta\">{counts['task_dispatch']} "
-                     f"dispatches, {counts['task_complete']} completions, "
-                     f"{quarantined_count(data.events)} quarantined, "
-                     f"{len(timeline)} notable events</p>")
-        if timeline:
-            parts.append("<table><tr><th>experiment</th><th>event</th></tr>")
-            for experiment, description in timeline:
-                parts.append(f"<tr><td>{_esc(experiment)}</td>"
-                             f"<td><code>{_esc(description)}</code></td></tr>")
-            parts.append("</table>")
-        cached = cache_line(cache_counts(data.events))
-        if cached is not None:
-            parts.append(f"<p class=\"meta\">result cache: "
-                         f"{_esc(cached)}</p>")
-    else:
-        parts.append("<p class=\"meta\">no runlog found — run with "
-                     "<code>--journal</code> to record one</p>")
-    return html_page("repro run report", parts)
+    return write_html(_blocks(data, top_k))
 
 
 # -- CLI (python -m repro report) --------------------------------------------
@@ -463,9 +368,7 @@ __all__ = [
     "cache_counts",
     "cache_line",
     "dispatch_counts",
-    "escape",
     "host_wall_by_trial",
-    "html_page",
     "load_report_data",
     "main",
     "quarantined_count",

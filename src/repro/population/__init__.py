@@ -17,7 +17,7 @@ composes the existing machinery at that scale:
   sessions through :mod:`repro.parallel` executors with runlog,
   quarantine, and :mod:`repro.cache` integration, and the resulting
   :class:`FleetReport`.
-* :mod:`repro.population.report` — text/JSON/HTML renderers.
+* :mod:`repro.population.report` — the fleet report, as text or HTML.
 
 Determinism contract: for a fixed cache state, the aggregate (and its
 JSON) is byte-identical for any ``--jobs`` value — results are folded in

@@ -1,15 +1,15 @@
-"""Fleet report renderers: text tables, canonical JSON, and HTML.
+"""Fleet report: the per-tier QoE document, as text or HTML.
 
 Everything renders from :attr:`FleetReport.aggregate` — the streamed
-snapshot — so the renderers are pure functions of the aggregate and
-inherit its determinism: for a fixed cache state, the same seed renders
+snapshot — so the report is a pure function of the aggregate and
+inherits its determinism: for a fixed cache state, the same seed renders
 the same bytes at any worker count.
 
 Quantiles come from :func:`repro.obs.export.histogram_quantile` (bucket
 resolution); a quantile that lands in the ``+Inf`` overflow bucket
-renders as ``>B`` where ``B`` is the last finite bucket bound.  The HTML
-document reuses :func:`repro.obs.report.html_page`, so fleet reports
-look and ship like run reports.
+renders as ``>B`` where ``B`` is the last finite bucket bound.  The
+report is built once as :mod:`repro.obs.document` blocks, whose two
+writers also render run reports, so fleet reports look and ship alike.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.analysis import render_table
-from repro.obs.report import escape, html_page
+from repro.obs.document import (Block, Heading, Line, Table, Title,
+                                write_html, write_text)
 from repro.population.aggregate import ALL_TIER, WORKLOAD_METRICS
 from repro.population.fleet import FleetReport
 
@@ -80,82 +80,46 @@ def _workload_order(report: FleetReport) -> List[str]:
     return [workload for workload, _ in report.config.workload_mix]
 
 
-def render_text(report: FleetReport) -> str:
-    """Plain-text fleet report (the ``population`` command's stdout)."""
-    aggregate = report.aggregate
-    mix = aggregate.get("mix", {})
+def _blocks(report: FleetReport) -> List[Block]:
+    mix = report.aggregate.get("mix", {})
     failures = report.failures
-    lines: List[str] = ["population fleet report",
-                        "======================="]
     headline = (f"experiment {report.experiment} · {report.sessions} "
                 f"sessions ({report.completed} ok, "
                 f"{sum(failures.values())} failed)")
     if report.quarantined:
         headline += f" · {report.quarantined} quarantined"
-    lines.append(headline)
-    lines.append("tiers: " + _mix_line(
-        mix.get("tiers", {}), [t.name for t in report.config.tiers]))
-    lines.append("workloads: " + _mix_line(
-        mix.get("workloads", {}), _workload_order(report)))
-    lines.append("networks: " + _mix_line(
-        mix.get("networks", {}), [n.name for n in report.config.networks]))
-    if failures:
-        lines.append("failure taxonomy: " + ", ".join(
-            f"{status}={failures[status]}" for status in sorted(failures)))
-    else:
-        lines.append("failure taxonomy: clean (no failed sessions)")
+    taxonomy = ", ".join(f"{status}={failures[status]}"
+                         for status in sorted(failures))
+    blocks: List[Block] = [
+        Title("population fleet report"),
+        Line(headline),
+        Line("tiers: " + _mix_line(
+            mix.get("tiers", {}), [t.name for t in report.config.tiers])),
+        Line("workloads: " + _mix_line(
+            mix.get("workloads", {}), _workload_order(report))),
+        Line("networks: " + _mix_line(
+            mix.get("networks", {}),
+            [n.name for n in report.config.networks])),
+        Line("failure taxonomy: "
+             + (taxonomy or "clean (no failed sessions)")),
+    ]
     for workload in _workload_order(report):
         for metric in WORKLOAD_METRICS.get(workload, ()):
             rows = _metric_rows(report, workload, metric)
-            if not rows:
-                continue
-            lines.append("")
-            lines.append(f"{workload} · {metric}")
-            lines.append(render_table(_TIER_HEADERS, rows))
-    return "\n".join(lines) + "\n"
+            if rows:
+                blocks += [Heading(f"{workload} · {metric}"),
+                           Table(_TIER_HEADERS, rows)]
+    return blocks
+
+
+def render_text(report: FleetReport) -> str:
+    """Plain-text fleet report (the ``population`` command's stdout)."""
+    return write_text(_blocks(report))
 
 
 def render_html(report: FleetReport) -> str:
     """Self-contained HTML fleet report (``--html`` artifact)."""
-    aggregate = report.aggregate
-    mix = aggregate.get("mix", {})
-    failures = report.failures
-    failed = sum(failures.values())
-    parts: List[str] = [
-        f"<p><span class=\"ok\">{report.completed} ok</span>, "
-        f"<span class=\"{'bad' if failed else 'ok'}\">{failed} failed</span>"
-        f" of {report.sessions} sessions "
-        f"<span class=\"meta\">(experiment "
-        f"<code>{escape(report.experiment)}</code>"
-        + (f", {report.quarantined} quarantined" if report.quarantined
-           else "")
-        + ")</span></p>",
-        "<p class=\"meta\">tiers: " + escape(_mix_line(
-            mix.get("tiers", {}),
-            [t.name for t in report.config.tiers]))
-        + " · workloads: " + escape(_mix_line(
-            mix.get("workloads", {}), _workload_order(report)))
-        + " · networks: " + escape(_mix_line(
-            mix.get("networks", {}),
-            [n.name for n in report.config.networks])) + "</p>",
-    ]
-    if failures:
-        parts.append("<p>failure taxonomy: " + ", ".join(
-            f"<code>{escape(status)}</code>={failures[status]}"
-            for status in sorted(failures)) + "</p>")
-    for workload in _workload_order(report):
-        for metric in WORKLOAD_METRICS.get(workload, ()):
-            rows = _metric_rows(report, workload, metric)
-            if not rows:
-                continue
-            parts.append(f"<h2>{escape(workload)} · {escape(metric)}</h2>")
-            parts.append("<table><tr>" + "".join(
-                f"<th>{escape(h)}</th>" for h in _TIER_HEADERS) + "</tr>")
-            for row in rows:
-                parts.append("<tr>" + "".join(
-                    f"<td>{escape(cell)}</td>" for cell in row) + "</tr>")
-            parts.append("</table>")
-    return html_page("repro population fleet report", parts)
+    return write_html(_blocks(report))
 
 
 __all__ = ["QUANTILES", "render_html", "render_text"]
